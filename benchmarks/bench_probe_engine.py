@@ -1,6 +1,6 @@
 """Probe-engine benchmark: per-ranker delta matrix + explanation suites.
 
-Nine measurements, all written to ``BENCH_probe_engine.json`` at the repo
+Ten measurements, all written to ``BENCH_probe_engine.json`` at the repo
 root so the perf trajectory is tracked across PRs:
 
 * a **per-ranker probe matrix** — the same random overlay probe states
@@ -11,33 +11,19 @@ root so the perf trajectory is tracked across PRs:
   ``TeamDeltaSession`` (cached base run + overlay re-formation) vs. the
   full path (materialize + ranker rebuild + greedy re-formation), with an
   exact-team parity assertion;
-* a **per-ranker batched matrix** — the same overlay probe states through
-  every ranker's ``scores_batch`` (the GCN's stacked multi-probe
-  forwards, PageRank's stacked power iterations, HITS's vectorized
-  base-set updates, TF-IDF's multi-row sparse gathers) vs. per-probe
-  delta scoring, with a 1e-9 parity assertion per ranker;
-* a **SHAP multi-query row** — factual query explanations through the
-  shared multi-query probe sessions (``SharedProbeContext`` + the
-  two-level score memo) vs. one sequential probe per coalition, with a
-  KernelSHAP == exact-Shapley exactness assertion;
+* a **GCN batched row** — the same overlay probe states through the GCN
+  session's ``scores_batch`` (one stacked block-diagonal forward per
+  group; the only session that overrides it) vs. per-probe delta
+  scoring, with a 1e-9 parity assertion;
+* a **SHAP multi-query row** — factual query explanations through one
+  shared probe engine (``probe_batch`` flushes + the two-level score
+  memo) vs. one sequential probe per coalition, with a KernelSHAP ==
+  exact-Shapley exactness assertion;
 * a **service row** — a paper-style mixed request workload (factual +
   counterfactual + team membership) through
-  ``ExplanationService.explain_many``: per-call facade invocation vs. the
-  deterministic single-thread mode vs. target-sharded thread-pool mode,
+  ``ExplanationService.explain_many`` vs. per-call facade invocation,
   with a bit-identical-explanations parity gate (and, in the full run, a
-  1.5x single-thread speedup floor);
-* a **fused row** — a many-session hot-query workload (several
-  concurrent membership "user sessions" asking about the same hot
-  person, plus relevance requests, all over the same few queries)
-  through the sharded service with the cross-request
-  :class:`~repro.service.FlushBus` swept over batching windows, vs the
-  same sharded service with the bus disabled — with a
-  bit-identical-explanations gate against the deterministic
-  ``max_workers=1`` mode and, in the full run, a fused speedup floor
-  scaled to the host's core count (1.3x on >=4 cores where bus-disabled
-  shards overlap kernel calls for real, break-even on a single-core
-  host where the GIL serializes shards and the only recoverable waste
-  is thread-thrash itself — see ``fused_speedup_floor``);
+  1.5x speedup floor);
 * a **resilience row** — the same service workload under a ~10%
   injected-fault plan (session errors, memo evictions, team-formation
   faults): throughput plus typed-outcome counts, with a parity gate
@@ -67,8 +53,8 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_probe_engine.py
 
 ``--smoke`` runs the per-ranker matrix, the team-formation parity row,
-the per-ranker batched matrix, the SHAP multi-query exactness row, and
-the service / fused / resilience parity rows on a tiny network (no GAE,
+the GCN batched row, the SHAP multi-query exactness row, and the
+service / resilience parity rows on a tiny network (no GAE,
 a briefly-trained GCN) and writes
 ``BENCH_probe_engine.smoke.json`` — the CI job uses it to fail
 parity/perf-path regressions before the next full bench run.
@@ -78,7 +64,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -125,21 +110,17 @@ from repro.service import (
     ExplanationService,
     FaultInjector,
     FaultPlan,
-    FlushBus,
     explanation_signature,
     fault_injection,
-    make_requests,
 )
 from repro.team import CoverTeamFormer
 
 K = 10
 N_QUERIES = 3
 MAX_CASES = 2  # per role (expert / non-expert)
-# Batched-vs-per-probe ratios this close to 1.0 are dead heats: the two
-# passes ran the same arithmetic (sequential fallback engaged, or no
-# flush shared an operator) and the residual is timer noise, observed at
-# up to ~7% on millisecond-scale passes.  Ratios *below* the band are
-# real batching regressions and fail the smoke gate.
+# Batched-vs-per-probe ratios this close to 1.0 are dead heats: timer
+# noise, observed at up to ~7% on millisecond-scale passes.  Ratios
+# *below* the band are real batching regressions and fail the smoke gate.
 _PARITY_BAND = 0.9
 BEAM = BeamConfig(beam_size=10, n_candidates=6, max_size=4, n_explanations=3)
 FACTUAL = FactualConfig(n_samples=96, max_samples=192, selection_samples=48)
@@ -439,34 +420,23 @@ def run_team_matrix(former, net, n_states: int = 40, seed: int = 9) -> dict:
     return row
 
 
-def run_batch_matrix(
-    rankers: dict, net, n_states: int = 48, seed: int = 21, group: int = 8,
+def run_gcn_batch_row(
+    ranker, net, n_states: int = 48, seed: int = 21, group: int = 8,
     repeats: int = 1,
 ) -> dict:
-    """Batched delta forwards vs. the per-probe delta path, per ranker.
+    """The GCN's batched delta forward vs. its per-probe delta path.
 
     One query, ``n_states`` random overlays: the batched pass flushes each
-    ``group`` through ``DeltaSession.scores_batch`` (the GCN's stacked
-    block-diagonal forward, PageRank's stacked power iterations, HITS's
-    vectorized base-set updates, TF-IDF's multi-row sparse gathers); the
-    per-probe pass scores the same overlays one at a time.  Each pass runs
-    on a *fresh* session so neither is answered from the other's caches.
-    Parity to 1e-9 on every probe.  ``repeats`` takes the best of N timed
-    passes per side, *alternating* sides within each repeat — running all
-    per-probe passes first and all batched passes second bakes CPU
-    frequency drift into the ratio (the second block measured ~10% slow,
-    which is exactly the phantom regression the gate then flagged).
-
-    Wherever a session's sequential fallback engages (tfidf below the
-    backend's ``tfidf_gather_min_rows`` patched rows, pagerank below its
-    ``pagerank_stack_min_people`` people) — or a flush never shares an
-    edge-flip set, so the stacked kernels sit idle — both passes execute
-    the *same arithmetic* and the true ratio is exactly 1.0; what the
-    timer reads is scheduler noise.  ``speedup`` therefore snaps dead
-    heats inside :data:`_PARITY_BAND` to parity (the raw ratio is kept
-    in ``measured_ratio``), while anything below the band — a real
-    regression, like the 0.84x tfidf gather this gate was built to
-    catch — fails the ``>= 1.0`` assertion.
+    ``group`` through ``DeltaSession.scores_batch`` (one stacked
+    block-diagonal forward); the per-probe pass scores the same overlays
+    one at a time.  Each pass runs on a *fresh* session so neither is
+    answered from the other's caches.  Parity to 1e-9 on every probe.
+    ``repeats`` takes the best of N timed passes per side, *alternating*
+    sides within each repeat — running all per-probe passes first and all
+    batched passes second bakes CPU frequency drift into the ratio.
+    ``speedup`` snaps dead heats inside :data:`_PARITY_BAND` to parity
+    (the raw ratio is kept in ``measured_ratio``); anything below the
+    band fails the ``>= 1.0`` assertion.
     """
     rng = np.random.default_rng(seed)
     skills = sorted(net.skill_universe())
@@ -480,67 +450,64 @@ def run_batch_matrix(
             continue
         overlay, q2 = apply_perturbations(net, query, perts)
         states.append((q2, overlay))
-    matrix = {}
-    for name, ranker in rankers.items():
-        ranker.full_rebuild = False
-        warm_q, warm_ov = states[0]
+    ranker.full_rebuild = False
+    warm_q, warm_ov = states[0]
 
-        per_probe_s = batched_s = float("inf")
-        for _ in range(max(1, repeats)):
-            session = ranker.delta_session(net)
-            session.scores(warm_q, warm_ov)
-            start = time.perf_counter()
-            per_probe = [session.scores(q, ov) for q, ov in states]
-            per_probe_s = min(per_probe_s, time.perf_counter() - start)
+    per_probe_s = batched_s = float("inf")
+    for _ in range(max(1, repeats)):
+        session = ranker.delta_session(net)
+        session.scores(warm_q, warm_ov)
+        start = time.perf_counter()
+        per_probe = [session.scores(q, ov) for q, ov in states]
+        per_probe_s = min(per_probe_s, time.perf_counter() - start)
 
-            session = ranker.delta_session(net)
-            session.scores(warm_q, warm_ov)
-            start = time.perf_counter()
-            batched = []
-            for i in range(0, len(states), group):
-                chunk = states[i : i + group]
-                chunk_query = chunk[0][0]
-                assert all(q == chunk_query for q, _ in chunk)  # one query per flush
-                batched += session.scores_batch(
-                    chunk_query, [ov for _, ov in chunk]
-                )
-            batched_s = min(batched_s, time.perf_counter() - start)
-        assert all(ov._mat is None for _, ov in states)
+        session = ranker.delta_session(net)
+        session.scores(warm_q, warm_ov)
+        start = time.perf_counter()
+        batched = []
+        for i in range(0, len(states), group):
+            chunk = states[i : i + group]
+            chunk_query = chunk[0][0]
+            assert all(q == chunk_query for q, _ in chunk)  # one query per flush
+            batched += session.scores_batch(chunk_query, [ov for _, ov in chunk])
+        batched_s = min(batched_s, time.perf_counter() - start)
+    assert all(ov._mat is None for _, ov in states)
 
-        parity = max(
-            float(np.abs(a - b).max()) for a, b in zip(per_probe, batched)
-        )
-        assert parity < 1e-9, f"{name} batched: parity violated ({parity})"
-        matrix[name] = {
-            "n_states": len(states),
-            "group_size": group,
-            "per_probe_seconds": per_probe_s,
-            "batched_seconds": batched_s,
-            "speedup": (
-                1.0
-                if _PARITY_BAND <= per_probe_s / batched_s < 1.0
-                else round(per_probe_s / batched_s, 2)
-            ),
-            "measured_ratio": round(per_probe_s / batched_s, 3),
-            "parity_max_abs_diff": parity,
-        }
-        print(
-            f"  {name + '-batch':>13}: {per_probe_s:.3f}s per-probe -> "
-            f"{batched_s:.3f}s batched x{group} "
-            f"({matrix[name]['speedup']:.1f}x, parity {parity:.1e})",
-            flush=True,
-        )
-    return matrix
+    parity = max(float(np.abs(a - b).max()) for a, b in zip(per_probe, batched))
+    assert parity < 1e-9, f"gcn batched: parity violated ({parity})"
+    row = {
+        "n_states": len(states),
+        "group_size": group,
+        "per_probe_seconds": per_probe_s,
+        "batched_seconds": batched_s,
+        "speedup": (
+            1.0
+            if _PARITY_BAND <= per_probe_s / batched_s < 1.0
+            else round(per_probe_s / batched_s, 2)
+        ),
+        "measured_ratio": round(per_probe_s / batched_s, 3),
+        "parity_max_abs_diff": parity,
+    }
+    print(
+        f"  {'gcn-batch':>13}: {per_probe_s:.3f}s per-probe -> "
+        f"{batched_s:.3f}s batched x{group} "
+        f"({row['speedup']:.1f}x, parity {parity:.1e})",
+        flush=True,
+    )
+    assert row["speedup"] >= 1.0, (
+        f"gcn: batched delta path slower than per-probe "
+        f"({row['speedup']:.2f}x) — a batching regression"
+    )
+    return row
 
 
 def run_shap_multi_query_row(
     ranker, net, k: int = 10, n_persons: int = 4, seed: int = 33
 ) -> dict:
-    """Factual SHAP through the shared multi-query probe sessions.
+    """Factual SHAP through one shared probe engine.
 
     ``explain_query`` sweeps coalition masks that are *query subsets* over
-    a fixed network — the exact shape ``SharedProbeContext`` serves: one
-    pinned (empty) overlay, many queries, patches computed once, score
+    a fixed network: one pinned (empty) overlay, many queries, score
     vectors memoized across persons.  The shared pass explains
     ``n_persons`` people through one engine; the per-probe pass gives
     each person a *fresh* engine and strips the bulk (prefetch) path, so
@@ -587,7 +554,7 @@ def run_shap_multi_query_row(
         per_probe_results.append(explainer._shap.explain(fn, len(features)))
     per_probe_s = time.perf_counter() - start
 
-    # Shared pass: one engine, multi-query flushes + two-level score memo.
+    # Shared pass: one engine, probe_batch flushes + two-level score memo.
     shared_engine = ProbeEngine(target, net)
     shared_explainer = FactualExplainer(target, config, engine=shared_engine)
     start = time.perf_counter()
@@ -619,14 +586,13 @@ def run_shap_multi_query_row(
         "per_probe_seconds": per_probe_s,
         "shared_seconds": shared_s,
         "speedup": per_probe_s / shared_s,
-        "multi_flushes": shared_engine.multi_flushes,
         "score_memo_hits": shared_engine.score_hits,
         "shap_parity_max_abs_diff": shap_parity,
         "kernel_exact_max_abs_diff": kernel_exact,
     }
     print(
         f"  {'shap-multi':>13}: {per_probe_s:.3f}s per-probe -> {shared_s:.3f}s "
-        f"shared ({row['speedup']:.1f}x, {row['multi_flushes']} multi flushes, "
+        f"shared ({row['speedup']:.1f}x, "
         f"{row['score_memo_hits']} score-memo hits, kernel==exact to "
         f"{kernel_exact:.1e})",
         flush=True,
@@ -638,7 +604,6 @@ def run_service_row(
     exes,
     net,
     n_queries: int = 4,
-    workers: int = 4,
     seed: int = 71,
     min_speedup: float = 0.0,
 ) -> dict:
@@ -650,7 +615,7 @@ def run_service_row(
     counterfactual kinds, plus team-membership requests — issued as **two
     user sessions over the same hot queries** (the second session repeats
     the first's request set, the way an interactive tool re-requests
-    explanations as users revisit the same subjects).  Three passes over
+    explanations as users revisit the same subjects).  Two passes over
     the *same* requests:
 
     * **per-call** — a fresh ``ExES`` facade (fresh registry) per request,
@@ -658,16 +623,14 @@ def run_service_row(
       PR-4-era per-ranker slot: every request pays its own engine and
       memos, the pre-service behaviour — including full recomputation of
       the second session's repeats;
-    * **service single-thread** — ``explain_many(max_workers=1)``, the
-      deterministic mode: one registry, cross-request engine/memo reuse,
-      and hot-request coalescing (the second session's exact repeats are
-      re-served from the first's answers; near-duplicates hit the shared
-      probe memos);
-    * **service sharded** — ``explain_many`` over a thread pool.
+    * **service** — ``explain_many``: one registry, cross-request
+      engine/memo reuse, and hot-request coalescing (the second session's
+      exact repeats are re-served from the first's answers;
+      near-duplicates hit the shared probe memos).
 
-    Parity gate: all three produce bit-identical explanations.
-    ``min_speedup`` additionally asserts the single-thread speedup floor
-    (the PR acceptance bar; 0 disables for tiny smoke networks).
+    Parity gate: both produce bit-identical explanations.
+    ``min_speedup`` additionally asserts the service speedup floor (0
+    disables for tiny smoke networks).
     """
     queries = random_queries(net, n_queries, seed=seed)
     session_requests = search_requests(
@@ -716,57 +679,41 @@ def run_service_row(
     base_sigs = per_call()
     per_call_s = time.perf_counter() - start
 
-    def service_pass(max_workers):
-        service = ExplanationService(**components, registry=EngineRegistry())
-        start = time.perf_counter()
-        responses = service.explain_many(requests, max_workers=max_workers)
-        elapsed = time.perf_counter() - start
-        assert all(r.ok for r in responses), [r.error for r in responses if not r.ok]
-        sigs = [explanation_signature(r.request, r.explanation) for r in responses]
-        return sigs, elapsed, service, responses
-
+    service = ExplanationService(**components, registry=EngineRegistry())
     try:
-        single_sigs, single_s, single_service, _ = service_pass(1)
-        sharded_sigs, sharded_s, _, sharded_responses = service_pass(workers)
+        start = time.perf_counter()
+        responses = service.explain_many(requests)
+        single_s = time.perf_counter() - start
     finally:
         # The passes above re-pointed the ranker/former session hook at
         # throwaway registries; hand ownership back to the facade's own
         # registry so the suites that follow stay governed by it.
         exes.service.registry.install(exes.ranker, exes.former)
 
-    assert single_sigs == base_sigs, (
-        "service (deterministic) explanations diverged from per-call facade"
-    )
-    assert sharded_sigs == base_sigs, (
-        "service (sharded) explanations diverged from per-call facade"
-    )
+    assert all(r.ok for r in responses), [r.error for r in responses if not r.ok]
+    sigs = [explanation_signature(r.request, r.explanation) for r in responses]
+    assert sigs == base_sigs, "service explanations diverged from per-call facade"
     speedup_single = per_call_s / single_s
-    speedup_sharded = per_call_s / sharded_s
     if min_speedup:
         assert speedup_single >= min_speedup, (
-            f"service single-thread speedup {speedup_single:.2f}x below the "
+            f"service speedup {speedup_single:.2f}x below the "
             f"{min_speedup}x acceptance floor"
         )
-    engine = single_service.engine()
-    # The interactive-service latency tail, measured on the sharded pass
-    # (the deployed mode): per-request wall clock over computed responses
-    # — coalesced re-serves excluded, so the repeat session's ~0s answers
-    # don't flatter the percentiles.
-    tail = latency_percentiles(sharded_responses)
+    engine = service.engine()
+    # The interactive-service latency tail: per-request wall clock over
+    # computed responses — coalesced re-serves excluded, so the repeat
+    # session's ~0s answers don't flatter the percentiles.
+    tail = latency_percentiles(responses)
     row = {
         "n_requests": len(requests),
         "n_unique_requests": len(session_requests),
         "n_user_sessions": 2,
         "n_queries": n_queries,
-        "workers": workers,
         "per_call_seconds": per_call_s,
         "single_thread_seconds": single_s,
-        "sharded_seconds": sharded_s,
         "requests_per_sec_per_call": len(requests) / per_call_s,
         "requests_per_sec_single": len(requests) / single_s,
-        "requests_per_sec_sharded": len(requests) / sharded_s,
         "speedup_single_vs_per_call": speedup_single,
-        "speedup_sharded_vs_per_call": speedup_sharded,
         "bit_identical": True,
         "relevance_engine_hit_rate": engine.hit_rate,
         "latency_p50_seconds": tail["p50"],
@@ -775,173 +722,9 @@ def run_service_row(
     }
     print(
         f"  {'service':>13}: {per_call_s:.2f}s per-call -> {single_s:.2f}s "
-        f"single ({speedup_single:.1f}x) -> {sharded_s:.2f}s sharded x"
-        f"{workers} ({speedup_sharded:.1f}x), {len(requests)} requests, "
+        f"service ({speedup_single:.1f}x), {len(requests)} requests, "
         f"p50/p95/p99 {tail['p50']:.3f}/{tail['p95']:.3f}/{tail['p99']:.3f}s, "
         f"bit-identical explanations",
-        flush=True,
-    )
-    return row
-
-
-def fused_speedup_floor() -> float:
-    """The fused row's acceptance floor, scaled to the host's actual
-    parallelism.  The flush bus recovers waste that only exists when
-    shards genuinely overlap: racing duplicate probe states and
-    per-call kernel overhead across concurrent flushes.  On a
-    single-core host the GIL serializes shard execution, the shared
-    score memo already catches staggered duplicates, and the entire
-    recoverable margin is the thread-thrash overhead itself (~10% here)
-    — so the bar degrades to break-even-or-better, while multi-core
-    hosts (where bus-disabled shards overlap kernel calls for real)
-    must show the full design-target speedup."""
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        return 1.3
-    if cores >= 2:
-        return 1.1
-    return 1.0
-
-
-def run_fused_row(
-    exes,
-    net,
-    n_seeds: int = 8,
-    n_queries: int = 2,
-    workers: int = 8,
-    seed: int = 91,
-    windows=(0.001, 0.003, 0.006),
-    min_speedup: float = 0.0,
-) -> dict:
-    """Cross-request flush fusion on a many-session hot-query workload.
-
-    The workload shape the :class:`~repro.service.FlushBus` exists for:
-    several concurrent membership "user sessions" (one shard per team
-    seed, every session asking about the same hot person) plus
-    relevance requests, all probing the *same* few hot queries over one
-    ranker.  Every shard flushes small probe groups against the shared
-    delta session under identical ``(session, base version, query)``
-    keys, so the bus can merge them into fused kernel calls and collapse
-    duplicate in-flight probe states.  Three configurations over the
-    same requests:
-
-    * **deterministic** — ``max_workers=1``: the bus stays disarmed
-      (exact pass-through); its signatures are the parity reference;
-    * **sharded, bus disabled** — the PR-6 service behaviour: every
-      shard flushes its own small kernel groups independently;
-    * **sharded, fused** — the bus armed, swept over batching windows;
-      best window wins the row.
-
-    Gates: every configuration produces bit-identical explanations to
-    the deterministic mode, and ``min_speedup`` asserts the fused floor
-    over the bus-disabled sharded pass (``fused_speedup_floor()`` scales
-    the bar to the host's core count; 0 disables it for tiny smoke
-    networks, where flushes are too small for fusion to pay).  The
-    bus-disabled pass is re-run once per window, interleaved, so CPU
-    frequency drift lands on both sides.
-    """
-    rng_queries = random_queries(net, n_queries, seed=seed)
-    requests = []
-    for query in rng_queries:
-        q = tuple(sorted(query))
-        order = exes.ranker.evaluate(q, net).order
-        for person in (int(order[0]), int(order[K - 1])):
-            requests += make_requests(("skills", "cf_skills"), person, q)
-        # One membership user session per seed member: each is its own
-        # shard, all probing the same hot query through one ranker
-        # session.  Every session asks about the same *hot person* — a
-        # member common to all formed teams when one exists — so
-        # concurrent shards race through near-identical probe
-        # frontiers: maximal merge + in-flight dedupe opportunity.
-        teams = {
-            seed_member: exes.former.form(q, net, seed_member=seed_member)
-            for seed_member in (int(p) for p in order[:n_seeds])
-        }
-        common = frozenset.intersection(
-            *(frozenset(t.members) for t in teams.values())
-        )
-        for seed_member, team in teams.items():
-            pool = sorted((common or team.members) - {seed_member})
-            person = pool[0] if pool else seed_member
-            requests += make_requests(
-                ("cf_skills",), person, q, team=True, seed_member=seed_member
-            )
-    components = dict(
-        network=net, ranker=exes.ranker, embedding=exes.embedding,
-        link_predictor=exes.link_predictor, former=exes.former, k=K,
-        factual_config=FACTUAL, beam_config=BEAM,
-    )
-
-    def service_pass(max_workers, bus):
-        service = ExplanationService(**components, registry=EngineRegistry())
-        service.registry.flush_bus = bus  # None disables the bus outright
-        start = time.perf_counter()
-        responses = service.explain_many(requests, max_workers=max_workers)
-        elapsed = time.perf_counter() - start
-        assert all(r.ok for r in responses), [r.error for r in responses if not r.ok]
-        sigs = [explanation_signature(r.request, r.explanation) for r in responses]
-        return sigs, elapsed
-
-    try:
-        reference, deterministic_s = service_pass(1, FlushBus())
-        baseline_s = float("inf")
-        sweep = {}
-        best = {"window": None, "seconds": float("inf"), "counters": None}
-        for window in windows:
-            sigs, elapsed = service_pass(workers, None)
-            assert sigs == reference, "sharded (bus disabled) diverged"
-            baseline_s = min(baseline_s, elapsed)
-            bus = FlushBus(window=window)
-            sigs, elapsed = service_pass(workers, bus)
-            assert sigs == reference, (
-                f"fused (window={window}) explanations diverged from the "
-                f"deterministic mode"
-            )
-            counters = bus.counters()
-            sweep[f"{window:g}"] = {"seconds": elapsed, **counters}
-            if elapsed < best["seconds"]:
-                best = {"window": window, "seconds": elapsed, "counters": counters}
-    finally:
-        # Hand session ownership back to the facade's registry (the
-        # throwaway services above re-pointed the ranker/former hook).
-        exes.service.registry.install(exes.ranker, exes.former)
-
-    speedup = baseline_s / best["seconds"]
-    if min_speedup:
-        assert best["counters"]["merged_flushes"] > 0, (
-            "fused row merged nothing — the bus never fired"
-        )
-        # The single-core break-even tier gets the same dead-heat band
-        # the batched matrix uses; real speedup floors stay strict.
-        floor = (
-            min_speedup if min_speedup > 1.0 else min_speedup * _PARITY_BAND
-        )
-        assert speedup >= floor, (
-            f"fused speedup {speedup:.2f}x below the {min_speedup}x "
-            f"acceptance floor (gate {floor:.2f}x)"
-        )
-    row = {
-        "n_requests": len(requests),
-        "n_shards": n_queries * (n_seeds + 1),
-        "workers": workers,
-        "cpu_count": os.cpu_count() or 1,
-        "min_speedup_floor": min_speedup,
-        "deterministic_seconds": deterministic_s,
-        "sharded_seconds": baseline_s,
-        "fused_seconds": best["seconds"],
-        "best_window_seconds": best["window"],
-        "speedup_fused_vs_sharded": speedup,
-        "speedup_fused_vs_deterministic": deterministic_s / best["seconds"],
-        "window_sweep": sweep,
-        "bus": best["counters"],
-        "bit_identical": True,
-    }
-    print(
-        f"  {'fused':>13}: {baseline_s:.2f}s sharded -> "
-        f"{best['seconds']:.2f}s fused (window {best['window']}, "
-        f"{speedup:.2f}x, {best['counters']['merged_flushes']} merged "
-        f"flushes, max fused {best['counters']['max_fused']}), "
-        f"bit-identical to deterministic",
         flush=True,
     )
     return row
@@ -951,7 +734,6 @@ def run_resilience_row(
     exes,
     net,
     n_queries: int = 3,
-    workers: int = 4,
     fault_rate: float = 0.10,
     seed: int = 77,
 ) -> dict:
@@ -991,7 +773,7 @@ def run_resilience_row(
         try:
             reference = {
                 r.request: explanation_signature(r.request, r.unwrap())
-                for r in reference_service.explain_many(requests, max_workers=1)
+                for r in reference_service.explain_many(requests)
             }
         finally:
             reference_service.set_full_rebuild(False)
@@ -1005,7 +787,7 @@ def run_resilience_row(
         service = ExplanationService(**components, registry=EngineRegistry())
         start = time.perf_counter()
         with fault_injection(injector):
-            responses = service.explain_many(requests, max_workers=workers)
+            responses = service.explain_many(requests)
         elapsed = time.perf_counter() - start
     finally:
         # Reclaim session ownership for the facade's registry (the
@@ -1023,7 +805,6 @@ def run_resilience_row(
     counts = outcome_counts(responses)
     row = {
         "n_requests": len(requests),
-        "workers": workers,
         "fault_rate": fault_rate,
         "seconds": elapsed,
         "requests_per_sec": len(requests) / elapsed,
@@ -1067,7 +848,7 @@ def run_edit_storm_row(
       the version-bump behaviour a registry without ``rebase`` would
       exhibit, paying a full session/engine/memo rebuild per round.
 
-    Parity gates (deterministic ``max_workers=1`` mode): each round's
+    Parity gates: each round's
     warm explanations are ``explanation_signature``-identical to the
     cold arm *and* to a fresh service over a from-scratch network
     rebuilt at the committed state (``network_to_dict`` round-trip) —
@@ -1119,7 +900,7 @@ def run_edit_storm_row(
 
     def run_round(service):
         start = time.perf_counter()
-        responses = service.explain_many(requests, max_workers=1)
+        responses = service.explain_many(requests)
         elapsed = time.perf_counter() - start
         assert all(r.ok for r in responses), [
             r.error for r in responses if not r.ok
@@ -1476,12 +1257,7 @@ def run_smoke() -> dict:
     )
     matrix = run_ranker_matrix(rankers, net, n_states=25, seed=5)
     team_row = run_team_matrix(CoverTeamFormer(gcn), net, n_states=15, seed=9)
-    batch_matrix = run_batch_matrix(rankers, net, n_states=24, seed=21, repeats=5)
-    for name, row in batch_matrix.items():
-        assert row["speedup"] >= 1.0, (
-            f"{name}: batched delta path slower than per-probe "
-            f"({row['speedup']:.2f}x) — a batching regression"
-        )
+    batch_row = run_gcn_batch_row(gcn, net, n_states=24, seed=21, repeats=5)
     shap_row = run_shap_multi_query_row(gcn, net, n_persons=2)
     service_exes = ExES(
         network=net,
@@ -1494,15 +1270,9 @@ def run_smoke() -> dict:
         beam_config=BEAM,
     )
     # Parity gate only on the tiny network (speedups are noise at this
-    # scale); the full bench asserts the 1.5x single-thread floor.
-    service_row = run_service_row(service_exes, net, n_queries=2, workers=2)
-    fused_row = run_fused_row(
-        service_exes, net, n_seeds=2, n_queries=1, workers=2,
-        windows=(0.001,),
-    )
-    resilience_row = run_resilience_row(
-        service_exes, net, n_queries=2, workers=2
-    )
+    # scale); the full bench asserts the 1.5x floor.
+    service_row = run_service_row(service_exes, net, n_queries=2)
+    resilience_row = run_resilience_row(service_exes, net, n_queries=2)
     edit_storm_row = run_edit_storm_row(
         scale=0.006, n_rounds=2, n_queries=2, min_speedup=1.0
     )
@@ -1522,11 +1292,9 @@ def run_smoke() -> dict:
         },
         "rankers": matrix,
         "team_formation": team_row,
-        "batched": batch_matrix,
-        "gcn_batched": batch_matrix["gcn"],
+        "batched": {"gcn": batch_row},
         "shap_multi_query": shap_row,
         "service": service_row,
-        "fused": fused_row,
         "resilience": resilience_row,
         "edit_storm": edit_storm_row,
         "scale": scale_rows,
@@ -1559,27 +1327,17 @@ def main(huge: bool = False) -> dict:
     print("team-formation probe matrix (delta vs full path) ...", flush=True)
     team_row = run_team_matrix(exes.former, net)
 
-    print("batched delta forwards, all rankers (vs per-probe delta) ...", flush=True)
-    batch_matrix = run_batch_matrix(
-        {"gcn": exes.ranker, **baseline_rankers()}, net, repeats=3
-    )
-    for name, row in batch_matrix.items():
-        assert row["speedup"] >= 1.0, (
-            f"{name}: batched delta path slower than per-probe "
-            f"({row['speedup']:.2f}x) — a batching regression"
-        )
+    print("GCN batched delta forward (vs per-probe delta) ...", flush=True)
+    batch_row = run_gcn_batch_row(exes.ranker, net, repeats=3)
 
-    print("shared multi-query SHAP sessions (vs per-probe sweeps) ...", flush=True)
+    print("shared-engine SHAP query sweeps (vs per-probe sweeps) ...", flush=True)
     shap_row = run_shap_multi_query_row(exes.ranker, net)
 
     print("explanation service (explain_many vs per-call facade) ...", flush=True)
-    service_row = run_service_row(exes, net, n_queries=4, workers=4, min_speedup=1.5)
-
-    print("fused flush bus (many-session hot-query workload, window sweep) ...", flush=True)
-    fused_row = run_fused_row(exes, net, min_speedup=fused_speedup_floor())
+    service_row = run_service_row(exes, net, n_queries=4, min_speedup=1.5)
 
     print("resilience row (faulted workload, typed outcomes + parity) ...", flush=True)
-    resilience_row = run_resilience_row(exes, net, n_queries=3, workers=4)
+    resilience_row = run_resilience_row(exes, net, n_queries=3)
 
     print("edit storm (interleaved commits, rebased vs cold-start) ...", flush=True)
     edit_storm_row = run_edit_storm_row(
@@ -1634,11 +1392,9 @@ def main(huge: bool = False) -> dict:
         "parity_max_abs_diff": max_diff,
         "rankers": ranker_matrix,
         "team_formation": team_row,
-        "batched": batch_matrix,
-        "gcn_batched": batch_matrix["gcn"],
+        "batched": {"gcn": batch_row},
         "shap_multi_query": shap_row,
         "service": service_row,
-        "fused": fused_row,
         "resilience": resilience_row,
         "edit_storm": edit_storm_row,
         "scale": scale_rows,

@@ -2,9 +2,10 @@
 
 The active backend is resolved once, lazily, from the ``REPRO_BACKEND``
 environment variable (default ``"numpy"``); delta sessions and rankers
-fetch it through :func:`get_backend` and dispatch every
-``scores_batch``/``scores_multi`` kernel — and the break-even cost hints
-that pick between fused and sequential paths — through it.
+fetch it through :func:`get_backend` and dispatch every numeric kernel
+(the GCN's stacked ``scores_batch`` forward, PageRank walks, HITS
+authority runs, TF-IDF row dots) — and the ``pagerank_stack_min_people``
+cost hint that picks between stacked and plain walks — through it.
 
 Registering a third-party backend::
 

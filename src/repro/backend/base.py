@@ -2,27 +2,27 @@
 
 The probe engine's throughput story is a handful of dense/sparse kernels —
 stacked GCN forwards over block-diagonal operators, stacked warm-started
-power iterations, CSR multi-row gathers, spmv/spmm/matmul primitives.
+power iterations, TF-IDF row kernels, spmv/spmm/matmul primitives.
 :class:`NumericBackend` is the narrow surface those kernels live behind:
 delta sessions and rankers describe *what* to compute (which probes, which
 operators, which rows) and the backend decides *how* — so numpy can be
 swapped for a numba/torch/GPU backend without touching a line of session
 logic.
 
-Backends also own the **cost hints** that used to be hand-tuned module
-constants in ``repro.search.engine``: the break-even points below which a
-fused kernel loses to the sequential loop depend on the backend's fixed
-per-call overhead (a GPU backend amortizes far later than numpy), so they
-are backend attributes, not session constants.
+Backends also own the **cost hint** that used to be a hand-tuned module
+constant in ``repro.search.engine``: the break-even point below which a
+stacked kernel loses to the plain loop depends on the backend's fixed
+per-call overhead (a GPU backend amortizes far later than numpy), so it
+is a backend attribute, not a session constant.
 
 Conformance contract: two backends must agree on every kernel to the
 probe engine's 1e-9 parity band (:class:`~repro.backend.reference
 .ReferenceBackend`, all naive loops, is the conformance shim CI runs the
 tier-1 suite against).  Within one backend, the batched kernels must be
 **composition-insensitive**: a probe's scores may not depend on which
-other probes shared its flush — that is what lets the service's flush bus
-merge flushes across concurrent requests without perturbing any
-participant's answer.
+other probes shared its flush — score vectors are memoized and re-served
+across explainers and requests, so a vector computed inside one batch
+must equal the one any other batch would have produced.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 #: ``(column indices, values)`` of one sparse row — the unit the TF-IDF
-#: gather kernels consume.
+#: row kernels consume.
 SparseRow = Tuple[np.ndarray, np.ndarray]
 
 
@@ -51,15 +51,8 @@ class NumericBackend(abc.ABC):
     name: str = "abstract"
 
     # ------------------------------------------------------------------
-    # cost hints (backend-owned break-even thresholds)
+    # cost hint (backend-owned break-even threshold)
     # ------------------------------------------------------------------
-    #: Patched-row count below which a TF-IDF flush answers with the
-    #: per-row loop instead of the fused multi-row gather: constructing
-    #: the gathered product costs more than a handful of tiny dots, which
-    #: is exactly the regime probe flushes live in (``_BATCH_GROUP``
-    #: overlays x 1-5 flips).  Profiled on the bench network: the numpy
-    #: gather only breaks even past ~100 rows.
-    tfidf_gather_min_rows: int = 96
     #: Person count below which PageRank walks run sequentially instead
     #: of through the stacked ``(n, k)`` spmm iteration: below it a
     #: warm-started walk is a handful of tiny spmv kernels and the
@@ -214,7 +207,7 @@ class NumericBackend(abc.ABC):
         """Block-diagonal stack of equally-shaped square CSR operators."""
 
     # ------------------------------------------------------------------
-    # CSR multi-row gather (TF-IDF)
+    # TF-IDF rows
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def gather_rows(
@@ -226,16 +219,9 @@ class NumericBackend(abc.ABC):
     @abc.abstractmethod
     def row_dot(self, vals: np.ndarray, weights: np.ndarray) -> float:
         """Dot product of one sparse row's values against the weights
-        already gathered for its columns.  Must accumulate in the same
-        order as :meth:`gather_dots` does per row, so the sequential
-        fallback and the fused gather agree bit-for-bit."""
-
-    @abc.abstractmethod
-    def gather_dots(
-        self, rows: Sequence[SparseRow], weights: np.ndarray
-    ) -> np.ndarray:
-        """Per-row dot products of many sparse rows against one dense
-        weight vector — the fused form of :meth:`row_dot`."""
+        already gathered for its columns.  Must accumulate sequentially,
+        in the same order as a CSR matvec over the row, so a patched row
+        scores bit-for-bit like the untouched rows of the base product."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -4,17 +4,16 @@ The kernel bodies here are the profiled hot paths the delta sessions ran
 inline before the backend seam existed: the warm-started (and stacked)
 PageRank power iterations, the HITS authority iteration, the hand-rolled
 block-diagonal CSR stack feeding batched GCN forwards, and the TF-IDF
-multi-row gathers.
+row kernels.
 
-Bit-stability notes (load-bearing for the flush bus — see the
-composition-insensitivity contract in :mod:`repro.backend.base`):
+Bit-stability notes (see the composition-insensitivity contract in
+:mod:`repro.backend.base`):
 
-* ``row_dot``/``gather_dots`` accumulate through ``np.add.reduceat``,
-  which reduces each segment *strictly sequentially* — the same
-  accumulation order scipy's CSR matvec/matvecs kernels use — so a
-  per-row dot, a fused gather, and a sparse product over the gathered
-  CSR all produce bitwise-identical values.  ``np.sum``/BLAS ``dot``
-  would not (pairwise summation / vectorized reordering).
+* ``row_dot`` accumulates through ``np.add.reduceat``, which reduces
+  *strictly sequentially* — the same accumulation order scipy's CSR
+  matvec kernel uses — so a patched row's dot and the base product's
+  untouched rows are bitwise-comparable.  ``np.sum``/BLAS ``dot`` would
+  not be (pairwise summation / vectorized reordering).
 * ``power_iteration_stacked`` keeps every column's arithmetic
   independent of ``k``: the spmm is per-column independent and the
   axis-0 reductions accumulate row-by-row per column, so a walk's
@@ -341,7 +340,7 @@ class NumpyBackend(NumericBackend):
         )
 
     # ------------------------------------------------------------------
-    # CSR multi-row gather (TF-IDF)
+    # TF-IDF rows
     # ------------------------------------------------------------------
     def gather_rows(
         self, rows: Sequence[SparseRow], n_cols: int
@@ -362,22 +361,3 @@ class NumpyBackend(NumericBackend):
         if vals.size == 0:
             return 0.0
         return float(np.add.reduceat(vals * weights, [0])[0])
-
-    def gather_dots(
-        self, rows: Sequence[SparseRow], weights: np.ndarray
-    ) -> np.ndarray:
-        rows = list(rows)
-        out = np.zeros(len(rows))
-        sizes = np.fromiter(
-            (cols.size for cols, _ in rows), dtype=np.int64, count=len(rows)
-        )
-        nonempty = np.flatnonzero(sizes)
-        if nonempty.size == 0:
-            return out
-        prods = np.concatenate(
-            [rows[i][1] * weights[rows[i][0]] for i in nonempty]
-        )
-        starts = np.zeros(nonempty.size, dtype=np.int64)
-        np.cumsum(sizes[nonempty][:-1], out=starts[1:])
-        out[nonempty] = np.add.reduceat(prods, starts)
-        return out

@@ -3,16 +3,15 @@
 ``ReferenceBackend`` answers each batched protocol op by looping its
 single-item counterpart — stacked power iterations become one sequential
 walk per column, block-diagonal GCN forwards become one forward per
-block, multi-row gathers become one dot per row, spmm becomes one spmv
-per column.  It exists to *prove* the protocol: CI runs the tier-1 suite
+block, spmm becomes one spmv per column.  It exists to *prove* the protocol: CI runs the tier-1 suite
 with ``REPRO_BACKEND=reference``, so any session logic that silently
 depends on a fused kernel's shape (rather than the protocol's declared
 semantics) fails there.
 
 The loops are also trivially composition-insensitive — an item's result
 cannot depend on its batch-mates when each item is computed alone —
-which makes this backend the executable statement of the contract the
-flush bus relies on.
+which makes this backend the executable statement of that contract in
+:mod:`repro.backend.base`.
 """
 
 from __future__ import annotations
@@ -187,11 +186,4 @@ class ReferenceBackend(NumpyBackend):
             data.extend(vals.tolist())
         return sp.csr_matrix(
             (data, (r, c)), shape=(len(rows), n_cols), dtype=np.float64
-        )
-
-    def gather_dots(
-        self, rows: Sequence[SparseRow], weights: np.ndarray
-    ) -> np.ndarray:
-        return np.asarray(
-            [self.row_dot(vals, weights[cols]) for cols, vals in rows]
         )

@@ -11,7 +11,7 @@ Commands:
 * ``team``      — form a team for a query
 * ``explain``   — factual + counterfactual explanations for one person
 * ``workload``  — a paper-style random-query workload through the
-  explanation service (``explain_many``), single-threaded or sharded;
+  explanation service (``explain_many``);
   ``--remote HOST:PORT`` drives the same requests over a socket against
   a running ``serve`` instance instead
 * ``serve``     — boot the asyncio serving front end (newline-delimited
@@ -23,7 +23,7 @@ Example::
     python -m repro explain --dataset dblp --scale 0.02 \
         --query graph mining --person "Ada Lovelace" --json out.json
     python -m repro workload --dataset dblp --scale 0.01 \
-        --queries 10 --workers 4 --kinds skills cf_skills
+        --queries 10 --kinds skills cf_skills
     python -m repro serve --dataset dblp --scale 0.01 --port 7821 &
     python -m repro workload --dataset dblp --scale 0.01 \
         --queries 10 --remote 127.0.0.1:7821
@@ -153,8 +153,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        default_batch_workers=args.workers,
-        max_batch_workers=max(args.workers, 4),
         spill_path=args.spill,
     )
 
@@ -248,7 +246,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     print(
         f"{len(requests)} requests over {args.queries} queries "
         f"({', '.join(args.kinds)}; team={'on' if args.team else 'off'}), "
-        f"max_workers={args.workers}, {where}"
+        f"{where}"
         + (f", edits={args.edits}" if args.edits else "")
     )
     commits = []
@@ -257,16 +255,14 @@ def cmd_workload(args: argparse.Namespace) -> int:
             raise SystemExit("--edits runs in-process only (drop --remote)")
         host, port = _parse_remote(args.remote)
         report = run_remote_workload_experiment(
-            host, port, requests, max_workers=args.workers, session=args.session
+            host, port, requests, session=args.session
         )
     elif args.edits:
         report, commits = run_edit_storm_experiment(
-            exes.service, requests, args.edits, max_workers=args.workers
+            exes.service, requests, args.edits
         )
     else:
-        report = run_workload_experiment(
-            exes.service, requests, max_workers=args.workers
-        )
+        report = run_workload_experiment(exes.service, requests)
     for row in report.rows:
         latency = f"{row.latency_mean:.3f}s" if row.latency_mean is not None else "-"
         size = f"{row.size_mean:.1f}" if row.size_mean is not None else "-"
@@ -297,26 +293,14 @@ def cmd_workload(args: argparse.Namespace) -> int:
             "latency p50/p95/p99: "
             + "/".join(f"{tail[p]:.3f}s" for p in ("p50", "p95", "p99"))
         )
-    if report.fusion:
-        flushes = report.fusion.get("multi_flushes", 0) + report.fusion.get(
-            "batch_flushes", 0
-        )
-        print(
-            f"fusion: {flushes} probe flushes "
-            f"({report.fusion.get('flushed_probes', 0)} probes), "
-            f"{report.fusion.get('bus_merged_flushes', 0)} bus-merged "
-            f"(max fused {report.fusion.get('bus_max_fused', 0)})"
-        )
     if args.json:
         payload = {
             "n_requests": report.n_requests,
             "n_errors": report.n_errors,
             "n_coalesced": report.n_coalesced,
             "elapsed_seconds": report.elapsed_seconds,
-            "max_workers": report.max_workers,
             "requests_per_second": report.requests_per_second,
             "rows": [vars(row) for row in report.rows],
-            "fusion": report.fusion,
             "outcomes": report.outcomes,
             "latency_percentiles": report.latency_percentiles,
             "n_commits": len(commits),
@@ -379,10 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--team", action="store_true", help="include team-membership requests"
     )
     p_workload.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool size for explain_many (1 = deterministic)",
-    )
-    p_workload.add_argument(
         "--edits", type=int, default=0, metavar="N",
         help="commit N live base edits racing the workload (in-process only)",
     )
@@ -406,10 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="0 picks an ephemeral port"
     )
     p_serve.add_argument("--k", type=int, default=10)
-    p_serve.add_argument(
-        "--workers", type=int, default=1,
-        help="default explain_many worker count per batch (1 = deterministic)",
-    )
     p_serve.add_argument(
         "--spill", default=None, metavar="PATH",
         help="warm-registry spill file: restore on boot, rewrite on shutdown",

@@ -10,8 +10,8 @@ exactly the way the paper reports them.
 :func:`run_workload_experiment` is the service-era loop: the paper's
 100-query workloads, expressed as typed requests (see
 :mod:`repro.eval.workload`), run through
-``ExplanationService.explain_many`` — single-threaded or sharded — and
-aggregate per-kind latency plus end-to-end throughput.
+``ExplanationService.explain_many``, and aggregate per-kind latency
+plus end-to-end throughput.
 """
 
 from __future__ import annotations
@@ -323,15 +323,10 @@ class WorkloadReport:
     n_errors: int
     n_coalesced: int
     elapsed_seconds: float
-    max_workers: int
     rows: List[WorkloadKindRow] = field(default_factory=list)
     # Typed-outcome tally (ok/degraded/timed_out/rejected/failed) from
     # the service's resilience runtime; all-ok workloads show {"ok": n}.
     outcomes: Dict[str, int] = field(default_factory=dict)
-    # Probe-flush fusion activity this workload generated: engine flush
-    # counters plus ``bus_*`` merge counters from the registry's flush
-    # bus (empty for services without a registry flush bus).
-    fusion: Dict[str, int] = field(default_factory=dict)
     # Per-request latency tail over computed responses
     # ({"p50": ..., "p95": ..., "p99": ...}) — the interactive-service
     # quality signal mean latency hides.
@@ -342,12 +337,7 @@ class WorkloadReport:
         return self.n_requests / self.elapsed_seconds if self.elapsed_seconds else 0.0
 
 
-def aggregate_workload(
-    responses: Sequence,
-    elapsed: float,
-    max_workers: int,
-    fusion: Optional[Dict[str, int]] = None,
-) -> WorkloadReport:
+def aggregate_workload(responses: Sequence, elapsed: float) -> WorkloadReport:
     """Aggregate one batch of typed responses into a
     :class:`WorkloadReport` — the shared tail of the local
     (:func:`run_workload_experiment`) and remote
@@ -395,74 +385,49 @@ def aggregate_workload(
         n_errors=sum(row.n_errors for row in rows),
         n_coalesced=sum(row.n_coalesced for row in rows),
         elapsed_seconds=elapsed,
-        max_workers=max_workers,
         rows=rows,
         outcomes=outcome_counts(responses),
-        fusion=fusion or {},
         latency_percentiles=latency_percentiles(responses),
     )
 
 
-def run_workload_experiment(
-    service,
-    requests: Sequence,
-    max_workers: int = 1,
-) -> WorkloadReport:
+def run_workload_experiment(service, requests: Sequence) -> WorkloadReport:
     """Run a typed request workload through the explanation service.
 
-    ``max_workers=1`` is the deterministic single-thread mode; larger
-    values shard independent decision targets across a thread pool.
     Per-request failures are counted, never raised — matching the
     service's degrade-per-request contract.
     """
-    registry = getattr(service, "registry", None)
-    flush_before: Dict[str, int] = {}
-    if registry is not None and hasattr(registry, "flush_counters"):
-        flush_before = registry.flush_counters()
     start = time.perf_counter()
-    responses = service.explain_many(requests, max_workers=max_workers)
+    responses = service.explain_many(requests)
     elapsed = time.perf_counter() - start
-    fusion: Dict[str, int] = {}
-    if registry is not None and hasattr(registry, "flush_counters"):
-        for name, value in registry.flush_counters().items():
-            if name == "bus_max_fused":
-                # A high-water mark, not a rate — report it as-is.
-                fusion[name] = value
-            else:
-                fusion[name] = value - flush_before.get(name, 0)
-    return aggregate_workload(responses, elapsed, max_workers, fusion)
+    return aggregate_workload(responses, elapsed)
 
 
 def run_remote_workload_experiment(
     host: str,
     port: int,
     requests: Sequence,
-    max_workers: int = 1,
     session: str = "",
 ) -> WorkloadReport:
     """The remote mirror of :func:`run_workload_experiment`: the same
     typed requests driven over a socket through
     :class:`~repro.serve.server.ExplanationServer`, aggregated into the
-    same report shape.  ``fusion`` comes from the server's ``batch_end``
-    summary (the counters live in the server process, not here);
-    ``elapsed_seconds`` is client wall clock, so it includes the wire."""
+    same report shape.  ``elapsed_seconds`` is client wall clock, so it
+    includes the wire."""
     from repro.serve.client import run_remote_workload
 
     start = time.perf_counter()
-    responses, summary = run_remote_workload(
-        host, port, requests, max_workers=max_workers, session=session or None
+    responses, _summary = run_remote_workload(
+        host, port, requests, session=session or None
     )
     elapsed = time.perf_counter() - start
-    return aggregate_workload(
-        responses, elapsed, max_workers, summary.get("fusion", {})
-    )
+    return aggregate_workload(responses, elapsed)
 
 
 def run_edit_storm_experiment(
     service,
     requests: Sequence,
     n_edits: int,
-    max_workers: int = 1,
     edit_interval_seconds: float = 0.02,
     edit_skill: str = "__storm",
 ):
@@ -472,7 +437,7 @@ def run_edit_storm_experiment(
     :func:`run_workload_experiment` drives the request traffic, a storm
     thread toggles the synthetic skill ``edit_skill`` on a rotating
     person and promotes each flip through ``service.commit`` — so
-    commits genuinely race ``explain_many`` shards through the service's
+    commits genuinely race ``explain_many`` requests through the service's
     version gate, and every response still lands on exactly one base
     version.  The synthetic skill never appears in any query, so the
     rebased sessions keep their warm caches across every commit.
@@ -505,7 +470,7 @@ def run_edit_storm_experiment(
     thread = threading.Thread(target=storm, name="edit-storm", daemon=True)
     thread.start()
     try:
-        report = run_workload_experiment(service, requests, max_workers=max_workers)
+        report = run_workload_experiment(service, requests)
     finally:
         stop.set()
         thread.join()

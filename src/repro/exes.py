@@ -170,12 +170,9 @@ class ExES:
         :class:`~repro.team.engine.TeamDeltaSession`, which answers from
         the cached base formation run when the flips provably cannot
         change it and re-forms greedily on the overlay otherwise.  Probe
-        groups are flushed through the ranker's batched delta paths
-        (:meth:`ProbeEngine.probe_batch`): same-query groups through
-        :meth:`~repro.search.engine.DeltaSession.scores_batch`, and
-        same-overlay multi-query sweeps (SHAP coalition masks) through
-        one :class:`~repro.search.engine.SharedProbeContext` with the
-        overlay's patches computed once."""
+        groups are flushed through the ranker's batched delta path
+        (:meth:`ProbeEngine.probe_batch`): grouped by query, through
+        :meth:`~repro.search.engine.DeltaSession.scores_batch`."""
         return self._service.engine(team, seed_member)
 
     def factual_explainer(
@@ -200,16 +197,12 @@ class ExES:
     def explain_many(
         self,
         requests: Sequence[ExplainRequest],
-        max_workers: Optional[int] = None,
         coalesce: bool = True,
     ) -> List[ExplainResponse]:
         """Answer a batch of requests through the service: sharded by
-        decision target across a thread pool (``max_workers=1`` for the
-        deterministic single-thread mode), identical requests coalesced,
-        responses in request order."""
-        return self._service.explain_many(
-            requests, max_workers=max_workers, coalesce=coalesce
-        )
+        decision target and sorted by query on the calling thread,
+        identical requests coalesced, responses in request order."""
+        return self._service.explain_many(requests, coalesce=coalesce)
 
     # ------------------------------------------------------------------
     # the underlying systems (convenience passthroughs)

@@ -66,9 +66,8 @@ class _SharedMaskValueFunction:
     masked states — across coalitions, selection vs. final SHAP stages, or
     sibling explainers sharing the engine — are scored once.  ``prefetch``
     flushes a whole mask set through :meth:`ProbeEngine.probe_batch`,
-    which routes same-overlay/many-query sweeps through the ranker's
-    :class:`~repro.search.engine.SharedProbeContext` and same-query/many-
-    overlay sweeps through its batched delta forwards.
+    which groups the states by query and scores each group through the
+    ranker's batched delta path.
     """
 
     __slots__ = ("_engine", "_person", "_query", "_network", "_features")

@@ -23,7 +23,7 @@ injectors) cannot be imported from here without a cycle.  The contract:
   sessions answer ``None``, routing every probe through the plain
   ranker/former paths *with overlays kept visible* — the per-request
   equivalent of ``full_rebuild = True`` on the systems, without mutating
-  shared flags under concurrent shards.  This is the reference tier of
+  shared flags under concurrently served batches.  This is the reference tier of
   the service's degradation ladder.
 * :func:`localized_scope` — installs a :class:`LocalizedSpec` for the
   current thread: probe scoring runs the sessions' *localized plans*
@@ -202,8 +202,7 @@ class LocalizedSpec:
       network; a probe whose touched cone exceeds it falls back to the
       exact global kernel (mode ``"global"``).
 
-    ``record`` is thread-safe: the service's shards may score probes for
-    one request on several threads.
+    ``record`` is thread-safe, so a spec may be shared across threads.
     """
 
     __slots__ = (

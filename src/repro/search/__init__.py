@@ -28,7 +28,6 @@ from repro.search.engine import (
     PageRankDeltaSession,
     ProbeEngine,
     ProbeSession,
-    SharedProbeContext,
     TfidfDeltaSession,
 )
 from repro.search.gcn import GcnExpertRanker, GcnRankerConfig
@@ -52,6 +51,5 @@ __all__ = [
     "ProbeSession",
     "RankedResults",
     "RelevanceJudge",
-    "SharedProbeContext",
     "TfidfDeltaSession",
 ]

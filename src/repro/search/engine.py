@@ -37,28 +37,16 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
   Contract: session scores match the ranker's from-scratch ``full_rebuild``
   scores to 1e-9 (verified per ranker in ``tests/search/test_engine.py``).
 
-* :class:`SharedProbeContext` — one overlay's patches pinned against a
-  session, answering ``scores`` for *many queries*.  SHAP value functions
-  evaluate the same perturbed network under hundreds of query subsets
-  (factual query explanations mask query terms while the network stays
-  fixed), so the overlay-side work — patched propagation operators,
-  transition matrices, profile rows — is computed once per flip set and
-  shared across every query probed against it.  Sessions back this with
-  per-flip-set patch caches and ``scores_multi`` (the multi-query
-  counterpart of ``scores_batch``): the GCN stacks per-query feature
-  matrices over *one* patched operator, PageRank advances stacked
-  warm-started power iterations through shared ``(n, k)`` spmm kernels,
-  HITS reuses patched adjacency and memoized authority runs, and TF-IDF
-  multiplies its patched profile rows by all query vectors in one sparse
-  product.
-
 * :class:`ProbeEngine` — cross-explainer memoization of decision probes,
   keyed on ``(person, query, frozenset(flips))``, plus a second score-level
   memo keyed on ``(query, flips, base version)``: the ranker's score
   vector for a probed state is person-independent, so once any explainer
   scores a ``(query subset, overlay)`` state, every other explainer (or
   another person's SHAP sweep over the same masks) reuses the vector and
-  pays only the O(n log n) decision, never the forward.
+  pays only the O(n log n) decision, never the forward.  Probe groups
+  flush through :meth:`DeltaSession.scores_batch`, grouped by query; only
+  the GCN overrides it (one stacked forward per group), every other
+  session loops :meth:`DeltaSession.scores`.
   ``full_rebuild=True`` is the escape hatch: overlays are materialized into
   real networks before probing, restoring the seed code path exactly —
   including seed *behaviour* quirks like the TF-IDF ranker's per-call idf
@@ -102,10 +90,9 @@ _MAX_SCORE_MEMO = 2_048  # per-engine memoized score *vectors* (n floats each)
 _MAX_PATCH_CACHE = 128  # per-session patched operators, keyed by flip set
 _MAX_SEMANTIC_CACHE = 4_096  # per-session solved subproblems (rows/solutions)
 _BATCH_GROUP = 8  # overlays per batched GCN forward (bounds block size)
-# The fused-vs-sequential break-even thresholds (TF-IDF gather row count,
-# PageRank stacking size) are *backend cost hints* — see
-# ``NumericBackend.tfidf_gather_min_rows`` / ``pagerank_stack_min_people``
-# in ``repro.backend.base``; sessions read them off ``self.backend``.
+# The PageRank stacked-vs-plain walk threshold is a *backend cost hint*
+# (``NumericBackend.pagerank_stack_min_people`` in ``repro.backend.base``);
+# sessions read it off ``self.backend``.
 # Neighborhood-restricted GCN forwards only pay off while the receptive
 # field stays well below the whole graph; past this fraction the full
 # patched forward is cheaper than the slicing bookkeeping.
@@ -157,13 +144,13 @@ class _LruCache:
     actively revisiting pay a cold rebuild.  Overflow now evicts exactly
     one entry — the least recently touched — and hot keys survive.
 
-    Every operation holds a lock: delta sessions are shared across the
-    explanation service's shards (``ExplanationService.explain_many``
-    flushes independent probe groups on a thread pool), and an unguarded
-    ``get``'s lookup + ``move_to_end`` could interleave with another
-    shard's eviction of the same key.  The lock guards only the ordered
-    dict's bookkeeping — entry *values* are computed outside it, and a
-    double-compute under contention is benign (both threads derive the
+    Every operation holds a lock: delta sessions and memos live in the
+    shared :class:`~repro.service.registry.EngineRegistry`, and the
+    serving front end runs several ``explain_many`` batches at once, so an
+    unguarded ``get``'s lookup + ``move_to_end`` could interleave with
+    another batch's eviction of the same key.  The lock guards only the
+    ordered dict's bookkeeping — entry *values* are computed outside it,
+    and a double-compute under contention is benign (both threads derive the
     same deterministic value).
     """
 
@@ -374,23 +361,10 @@ class DeltaSession(abc.ABC):
     ) -> List[np.ndarray]:
         """Scores for a *group* of overlays over the same base and query.
 
-        The default just loops :meth:`scores`; sessions whose scorer
-        benefits from batching (the GCN's stacked multi-probe forward, the
-        baselines' shared-operator kernels) override this, and
+        The default just loops :meth:`scores`; only the GCN overrides it
+        (its stacked multi-probe forward), and
         :meth:`ProbeEngine.probe_batch` flushes probe groups through it."""
         return [self.scores(query, overlay) for overlay in overlays]
-
-    def scores_multi(
-        self, queries: Sequence[Query], overlay: NetworkOverlay
-    ) -> List[np.ndarray]:
-        """Scores for *many queries* against one pinned overlay.
-
-        The multi-query counterpart of :meth:`scores_batch`: the overlay's
-        feature/adjacency patches are computed once and every query is
-        answered against them.  The default loops :meth:`scores`, which
-        already shares the per-flip-set patch caches; sessions with a
-        genuinely stacked multi-query kernel override this."""
-        return [self.scores(query, overlay) for query in queries]
 
     def scores_localized(
         self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
@@ -407,59 +381,6 @@ class DeltaSession(abc.ABC):
     def _global_plan(self) -> LocalizedPlan:
         n = self.base.n_people
         return LocalizedPlan(mode="global", k_hop=-1, cone_size=n, n_people=n)
-
-    def shared_context(self, overlay: NetworkOverlay) -> "SharedProbeContext":
-        """A :class:`SharedProbeContext` pinning ``overlay`` to this
-        session — the handle multi-query probe consumers (SHAP value
-        functions) hold while sweeping query subsets."""
-        return SharedProbeContext(self, overlay)
-
-
-class SharedProbeContext:
-    """One overlay's patches pinned against a delta session, answering
-    ``scores`` for many queries.
-
-    KernelSHAP value functions evaluate the *same* perturbed network under
-    hundreds of query subsets (factual query explanations mask query terms
-    while the network stays fixed).  A context fixes the overlay once, so
-    the overlay-side work — the patched propagation operator, transition
-    matrix, or profile rows — is derived a single time (through the
-    session's per-flip-set patch caches) and every query probes against
-    it; :meth:`scores_multi` additionally stacks the queries through the
-    session's multi-query kernel where one exists.
-    """
-
-    __slots__ = ("session", "overlay")
-
-    def __init__(self, session: DeltaSession, overlay: NetworkOverlay) -> None:
-        self.session = session
-        self.overlay = overlay
-
-    def valid(self) -> bool:
-        """Usable while the session still serves the overlay's base."""
-        return self.session.valid_for(self.session.base)
-
-    def scores(self, query: Query) -> np.ndarray:
-        spec = active_localized()
-        if spec is not None:
-            scores, plan = self.session.scores_localized(query, self.overlay, spec)
-            spec.record(plan)
-            return scores
-        return self.session.scores(query, self.overlay)
-
-    def scores_multi(self, queries: Sequence[Query]) -> List[np.ndarray]:
-        spec = active_localized()
-        if spec is not None:
-            # Localized plans are per-query cones; the stacked multi-query
-            # kernels are global by construction, so serve sequentially.
-            return [self.scores(q) for q in queries]
-        return self.session.scores_multi(queries, self.overlay)
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedProbeContext(session={type(self.session).__name__}, "
-            f"flips={self.overlay.n_flips})"
-        )
 
 
 class GcnDeltaSession(DeltaSession):
@@ -487,8 +408,8 @@ class GcnDeltaSession(DeltaSession):
         # intermediates, kept so restricted probes splice instead of
         # recomputing (see ``_restricted_scores``)
         self._fwd_cache = _LruCache(_MAX_QUERY_CACHE)
-        # edge-flip set -> patched normalized adjacency: multi-query probe
-        # sweeps re-score one overlay under many query subsets, and the
+        # edge-flip set -> patched normalized adjacency: SHAP sweeps
+        # re-score one overlay under many query subsets, and the
         # renormalization is the overlay-side cost worth paying once.
         self._adj_cache = _LruCache(_MAX_PATCH_CACHE)
         self.restricted_probes = 0  # observability: neighborhood-restricted
@@ -622,8 +543,8 @@ class GcnDeltaSession(DeltaSession):
     def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
         if not query:
             # The ranker's plain path short-circuits empty queries to zero
-            # scores before any forward; direct session consumers (shared
-            # contexts, multi-query flushes) must see the same semantics.
+            # scores before any forward; direct session consumers (batched
+            # flushes, localized probes) must see the same semantics.
             return np.zeros(self.base.n_people)
         if not overlay.skill_flips() and not overlay.edge_flips():
             return self._base_forward(query)[2].copy()
@@ -680,57 +601,6 @@ class GcnDeltaSession(DeltaSession):
                 results[i] = vec
             self.full_forwards += len(stacked_idx)
         return results  # type: ignore[return-value]
-
-    def scores_multi(
-        self, queries: Sequence[Query], overlay: NetworkOverlay
-    ) -> List[np.ndarray]:
-        """Stacked multi-*query* forward over one pinned overlay: the
-        patched propagation operator is derived once (and cached per edge
-        flip set), each query contributes its patched feature matrix, and
-        :data:`_BATCH_GROUP`-sized groups run as one block-diagonal forward
-        — the same stacking as :meth:`scores_batch` with the roles of
-        query and overlay swapped."""
-        queries = list(queries)
-        if len(queries) <= 1:
-            return [self.scores(q, overlay) for q in queries]
-        skill_flips = overlay.skill_flips()
-        edge_flips = overlay.edge_flips()
-        if not skill_flips and not edge_flips:
-            # Pure query sweep over the base network: every query is a
-            # cached base forward (and stays cached for later splices).
-            return [self.scores(q, overlay) for q in queries]
-        adj = (
-            self._adj_norm if not edge_flips else self._patched_adjacency(edge_flips)
-        ).tocsr()
-        n = self.base.n_people
-        results: List[np.ndarray] = []
-        # Empty query subsets short-circuit to zeros exactly like the
-        # ranker's plain path; only distinct real queries join the
-        # stacked forward.
-        nonempty = list(dict.fromkeys(q for q in queries if q))
-        scored: Dict[Query, np.ndarray] = {}
-        for start in range(0, len(nonempty), _BATCH_GROUP):
-            chunk = nonempty[start : start + _BATCH_GROUP]
-            if len(chunk) == 1:
-                scored[chunk[0]] = self.scores(chunk[0], overlay)
-                continue
-            feats_blocks = []
-            for q in chunk:
-                feats, q_vec = self._base_features(q)
-                if skill_flips:
-                    feats = self._patched_features(
-                        feats, q_vec, q, overlay, skill_flips
-                    )
-                feats_blocks.append(feats)
-            out_blocks = self.backend.gcn_forward_blocks(
-                self.ranker._scorer, feats_blocks, [adj] * len(chunk)
-            )
-            for q, vec in zip(chunk, out_blocks):
-                scored[q] = vec
-            self.full_forwards += len(chunk)
-        for q in queries:
-            results.append(scored[q].copy() if q else np.zeros(n))
-        return results
 
     def scores_localized(
         self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
@@ -1183,87 +1053,53 @@ class PageRankDeltaSession(DeltaSession):
             counts[p] += 1.0 if added else -1.0
         return counts, True
 
-    def _resolve(
-        self, query: Query, overlay: NetworkOverlay, ekey: FrozenSet
-    ) -> Tuple[Optional[np.ndarray], Optional[Tuple]]:
-        """(result, pending walk) for one probe.  ``result`` is the final
-        score vector when the probe resolves without iterating (no
-        matching restart, untouched base state, or a converged-solution
-        memo hit); otherwise ``pending = (restart, warm start, memo key)``
-        describes the power iteration still to run.  The single resolution
-        pipeline behind ``scores``/``scores_batch``/``scores_multi`` — the
-        sequential and stacked paths must never drift apart."""
-        base_counts, base_solution, base_converged = self._base_state(query)
-        counts, relevant = self._probe_counts(query, overlay, base_counts)
-        restart = self._restart_from_counts(counts, len(query))
-        if restart is None:
-            return np.zeros(self.base.n_people), None
-        if not ekey and not relevant and base_solution is not None:
-            return base_solution.copy(), None
-        skey = (ekey, len(query), counts.tobytes())
-        cached = self._solution_cache.get(skey)
-        if cached is not None:
-            return cached.copy(), None
-        warm = base_solution if base_converged else None
-        return None, (restart, warm, skey)
-
-    def _finish(self, solution: np.ndarray, converged: bool, skey: Tuple) -> np.ndarray:
-        """Cache a finished walk and return a caller-owned vector.  Only
-        converged iterates are state functions of (restart, operator); a
-        capped run depends on its start and must not be replayed for a
-        probe that would have started elsewhere."""
-        if converged:
-            self._solution_cache.put(skey, solution)
-            return solution.copy()
-        return solution
-
-    def _solve_pending(
-        self, pending: List[Tuple[int, Tuple]], ekey: FrozenSet
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Run the walks of ``(slot, (restart, warm, memo key))`` entries
-        over one shared (patched) operator — a sequential power iteration
-        per entry on small networks, a stacked ``(n, k)`` iteration
-        otherwise (each column starting exactly where its sequential loop
-        would: its own warm start when one exists, its restart
-        otherwise).  The choice depends *only* on the network size
-        (the backend's ``pagerank_stack_min_people`` cost hint — the
-        stacked kernel's dense bookkeeping loses to plain spmv walks on
-        small networks), never on how many walks share the flush: a
-        composition-sensitive choice would let the service's flush bus
-        change a walk's kernel path (and its last-ulp rounding) depending
-        on which requests happened to merge."""
+    def _walk(
+        self, restart: np.ndarray, warm: Optional[np.ndarray], ekey: FrozenSet
+    ) -> Tuple[np.ndarray, bool]:
+        """One warm-started power iteration over the (patched) operator:
+        a plain spmv walk on small networks, the stacked ``(n, 1)``
+        iteration at or above the backend's ``pagerank_stack_min_people``
+        cost hint (the stacked kernel's dense bookkeeping loses to plain
+        spmv walks on small networks)."""
         if not ekey:
             adj, out_degree = self._adj, self._out_degree
         else:
             adj, out_degree = self._patched_operator(dict(ekey))
         if self.base.n_people < self.backend.pagerank_stack_min_people:
-            out = []
-            for i, (restart, warm, skey) in pending:
-                solution, converged = self.ranker._power_iteration(
-                    restart, adj, out_degree, warm_start=warm
-                )
-                out.append((i, self._finish(solution, converged, skey)))
-            return out
-        restarts = np.stack([r for (_, (r, _, _)) in pending], axis=1)
-        starts = np.stack(
-            [(r if w is None else w) for (_, (r, w, _)) in pending], axis=1
-        )
+            return self.ranker._power_iteration(
+                restart, adj, out_degree, warm_start=warm
+            )
+        start = restart if warm is None else warm
         solutions, converged = self.ranker._power_iteration_multi(
-            restarts, adj, out_degree, starts=starts
+            np.stack([restart], axis=1), adj, out_degree,
+            starts=np.stack([start], axis=1),
         )
-        return [
-            (i, self._finish(solutions[:, j].copy(), converged[j], skey))
-            for j, (i, (_, _, skey)) in enumerate(pending)
-        ]
+        return solutions[:, 0].copy(), converged[0]
 
     def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
         if self.base.n_people == 0:
             return np.zeros(0)
         ekey = _edge_key(overlay.edge_flips())
-        result, pending = self._resolve(query, overlay, ekey)
-        if result is not None:
-            return result
-        return self._solve_pending([(0, pending)], ekey)[0][1]
+        base_counts, base_solution, base_converged = self._base_state(query)
+        counts, relevant = self._probe_counts(query, overlay, base_counts)
+        restart = self._restart_from_counts(counts, len(query))
+        if restart is None:
+            return np.zeros(self.base.n_people)
+        if not ekey and not relevant and base_solution is not None:
+            return base_solution.copy()
+        skey = (ekey, len(query), counts.tobytes())
+        cached = self._solution_cache.get(skey)
+        if cached is not None:
+            return cached.copy()
+        warm = base_solution if base_converged else None
+        solution, converged = self._walk(restart, warm, ekey)
+        # Only converged iterates are state functions of (restart,
+        # operator); a capped run depends on its start and must not be
+        # replayed for a probe that would have started elsewhere.
+        if converged:
+            self._solution_cache.put(skey, solution)
+            return solution.copy()
+        return solution
 
     def scores_localized(
         self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
@@ -1385,69 +1221,6 @@ class PageRankDeltaSession(DeltaSession):
             residual_bound=res_l1 / (1.0 - d) + 1e-9,
         )
 
-    def scores_batch(
-        self, query: Query, overlays: Iterable[NetworkOverlay]
-    ) -> List[np.ndarray]:
-        """Stacked warm-started power iterations: probes sharing an edge
-        flip set share a patched transition operator, and their restart
-        vectors advance together through ``(n, k)`` spmm kernels (converged
-        columns freeze exactly where their sequential loop would break).
-
-        Small networks (below the backend's ``pagerank_stack_min_people``
-        cost hint) fall back to the sequential loop, base state hoisted:
-        with walks this cheap the grouping machinery and stacked kernels
-        cost more than they amortize, so batching must not be allowed to
-        lose."""
-        overlays = list(overlays)
-        if len(overlays) <= 1:
-            return [self.scores(query, ov) for ov in overlays]
-        if self.base.n_people == 0:
-            return [np.zeros(0) for _ in overlays]
-        if self.base.n_people < self.backend.pagerank_stack_min_people:
-            out: List[np.ndarray] = []
-            for overlay in overlays:
-                ekey = _edge_key(overlay.edge_flips())
-                result, pending = self._resolve(query, overlay, ekey)
-                if result is None:
-                    result = self._solve_pending([(0, pending)], ekey)[0][1]
-                out.append(result)
-            return out
-        results: List[Optional[np.ndarray]] = [None] * len(overlays)
-        groups: Dict[FrozenSet, List[Tuple[int, Tuple]]] = {}
-        for i, overlay in enumerate(overlays):
-            ekey = _edge_key(overlay.edge_flips())
-            results[i], pending = self._resolve(query, overlay, ekey)
-            if pending is not None:
-                groups.setdefault(ekey, []).append((i, pending))
-        for ekey, items in groups.items():
-            for i, solution in self._solve_pending(items, ekey):
-                results[i] = solution
-        return results  # type: ignore[return-value]
-
-    def scores_multi(
-        self, queries: Sequence[Query], overlay: NetworkOverlay
-    ) -> List[np.ndarray]:
-        """Many queries against one pinned overlay: the patched operator
-        is derived once, each query patches its own restart counts, and
-        all non-trivial walks advance as one stacked iteration (each
-        warm-started from its *own* query's base solution)."""
-        queries = list(queries)
-        if len(queries) <= 1:
-            return [self.scores(q, overlay) for q in queries]
-        if self.base.n_people == 0:
-            return [np.zeros(0) for _ in queries]
-        ekey = _edge_key(overlay.edge_flips())
-        results: List[Optional[np.ndarray]] = [None] * len(queries)
-        pending: List[Tuple[int, Tuple]] = []
-        for i, query in enumerate(queries):
-            results[i], walk = self._resolve(query, overlay, ekey)
-            if walk is not None:
-                pending.append((i, walk))
-        if pending:
-            for i, solution in self._solve_pending(pending, ekey):
-                results[i] = solution
-        return results  # type: ignore[return-value]
-
 
 class HitsDeltaSession(DeltaSession):
     """O(Δ) probes for :class:`~repro.search.hits.HitsExpertRanker`.
@@ -1556,8 +1329,7 @@ class HitsDeltaSession(DeltaSession):
         self, query: Query, overlay: NetworkOverlay
     ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
         """(base root indicator, patched match counts, root indicator
-        deltas) for one probe — the O(Δ) root-set bookkeeping shared by
-        the sequential and batched paths."""
+        deltas) for one probe — the O(Δ) root-set bookkeeping."""
         ind, _, match_counts = self._base_state(query)
         relevant = [
             (p, added)
@@ -1583,59 +1355,32 @@ class HitsDeltaSession(DeltaSession):
         ind: np.ndarray,
         delta_ind: Dict[int, float],
         edge_flips: Dict[Tuple[int, int], bool],
-        propagated: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """support' = support + Δind + A·Δind + ΔA·ind'   (all counts are
-        small integers in float, so every update below is exact).
-        ``propagated`` optionally carries a precomputed ``Δind + A·Δind``
-        column from a batched spmm."""
+        small integers in float, so every update below is exact)."""
         if not delta_ind and not edge_flips:
             return support
         support = support.copy()
-        if propagated is not None:
-            support += propagated
-        else:
-            indptr, indices = self._adj.indptr, self._adj.indices
-            for p, d in delta_ind.items():
-                support[p] += d
-                support[indices[indptr[p] : indptr[p + 1]]] += d
+        indptr, indices = self._adj.indptr, self._adj.indices
+        for p, d in delta_ind.items():
+            support[p] += d
+            support[indices[indptr[p] : indptr[p + 1]]] += d
         for (u, v), added in edge_flips.items():
             w = 1.0 if added else -1.0
             support[u] += w * (ind[v] + delta_ind.get(v, 0.0))
             support[v] += w * (ind[u] + delta_ind.get(u, 0.0))
         return support
 
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
+    def _score(
+        self, query: Query, overlay: NetworkOverlay
+    ) -> Tuple[np.ndarray, Optional[int]]:
+        """(scores, base-set size) for one probe — the single scoring path
+        behind :meth:`scores` and :meth:`scores_localized`.  The size is
+        None when the probe short-circuits (empty network or query)."""
         n = self.base.n_people
         out = np.zeros(n)
         if n == 0 or not query:
-            return out
-        _, support, _ = self._base_state(query)
-        ind, match_counts, delta_ind = self._probe_state(query, overlay)
-        edge_flips = overlay.edge_flips()
-        support = self._patched_support(support, ind, delta_ind, edge_flips)
-        members = np.flatnonzero(support > 0.5)
-        if members.size == 0:
-            return out
-        authority = self._authority_for(edge_flips, members)
-        match = match_counts[members] / float(len(query))
-        out[members] = authority + self.ranker.match_bonus * match
-        return out
-
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """HITS is localized *by construction*: root/support updates are
-        O(Δ·deg) patches on cached per-query state, and the authority
-        iteration only ever touches the base set (root ∪ its 1-hop
-        neighborhood) — so the plan is the exact :meth:`scores` path with
-        the base-set size surfaced as the cone."""
-        n = self.base.n_people
-        out = np.zeros(n)
-        if n == 0 or not query:
-            return out, LocalizedPlan(
-                mode="exact", k_hop=0, cone_size=0, n_people=n
-            )
+            return out, None
         _, support, _ = self._base_state(query)
         ind, match_counts, delta_ind = self._probe_state(query, overlay)
         edge_flips = overlay.edge_flips()
@@ -1645,55 +1390,24 @@ class HitsDeltaSession(DeltaSession):
             authority = self._authority_for(edge_flips, members)
             match = match_counts[members] / float(len(query))
             out[members] = authority + self.ranker.match_bonus * match
-        return out, LocalizedPlan(
-            mode="exact", k_hop=1, cone_size=int(members.size), n_people=n
-        )
+        return out, int(members.size)
 
-    def scores_batch(
-        self, query: Query, overlays: Iterable[NetworkOverlay]
-    ) -> List[np.ndarray]:
-        """Vectorized root/base-set updates across probes: the Δind columns
-        of the whole batch propagate through one ``A @ D`` spmm, patched
-        adjacencies are shared per edge-flip set, and authority runs are
-        memoized per (flip set, base-set members) — probes whose flips
-        leave the base set unchanged pay no iteration at all."""
-        overlays = list(overlays)
-        if len(overlays) <= 1:
-            return [self.scores(query, ov) for ov in overlays]
+    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
+        return self._score(query, overlay)[0]
+
+    def scores_localized(
+        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
+    ) -> Tuple[np.ndarray, LocalizedPlan]:
+        """HITS is localized *by construction*: root/support updates are
+        O(Δ·deg) patches on cached per-query state, and the authority
+        iteration only ever touches the base set (root ∪ its 1-hop
+        neighborhood) — so the plan is the exact :meth:`scores` path with
+        the base-set size surfaced as the cone."""
+        out, cone = self._score(query, overlay)
         n = self.base.n_people
-        if n == 0 or not query:
-            return [np.zeros(n) for _ in overlays]
-        _, base_support, _ = self._base_state(query)
-        states = [self._probe_state(query, ov) for ov in overlays]
-        # One spmm propagates every probe's root-set delta at once.
-        delta_cols = [
-            (i, delta_ind) for i, (_, _, delta_ind) in enumerate(states) if delta_ind
-        ]
-        propagated: Dict[int, np.ndarray] = {}
-        if delta_cols:
-            d_mat = np.zeros((n, len(delta_cols)))
-            for j, (_, delta_ind) in enumerate(delta_cols):
-                for p, d in delta_ind.items():
-                    d_mat[p, j] = d
-            prop = d_mat + self.backend.spmm(self._adj, d_mat)
-            for j, (i, _) in enumerate(delta_cols):
-                propagated[i] = prop[:, j]
-        results: List[np.ndarray] = []
-        for i, (overlay, (ind, match_counts, delta_ind)) in enumerate(
-            zip(overlays, states)
-        ):
-            out = np.zeros(n)
-            edge_flips = overlay.edge_flips()
-            support = self._patched_support(
-                base_support, ind, delta_ind, edge_flips, propagated.get(i)
-            )
-            members = np.flatnonzero(support > 0.5)
-            if members.size:
-                authority = self._authority_for(edge_flips, members)
-                match = match_counts[members] / float(len(query))
-                out[members] = authority + self.ranker.match_bonus * match
-            results.append(out)
-        return results
+        if cone is None:
+            return out, LocalizedPlan(mode="exact", k_hop=0, cone_size=0, n_people=n)
+        return out, LocalizedPlan(mode="exact", k_hop=1, cone_size=cone, n_people=n)
 
 
 class TfidfDeltaSession(DeltaSession):
@@ -1839,19 +1553,26 @@ class TfidfDeltaSession(DeltaSession):
             self._row_cache.put(key, hit)
         return hit
 
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
+    def _score(
+        self, query: Query, overlay: NetworkOverlay
+    ) -> Tuple[np.ndarray, int]:
+        """(scores, flipped-person count) for one probe — the single
+        scoring path behind :meth:`scores` and :meth:`scores_localized`."""
+        touched = {p for (p, _) in overlay.skill_flips()}
         q_vec, base_scores = self._base_state(query)
         if not np.any(q_vec):
-            return np.zeros(self.base.n_people)
+            return np.zeros(self.base.n_people), len(touched)
         out = base_scores.copy()
-        for p in {p for (p, _) in overlay.skill_flips()}:
+        for p in touched:
             cols, vals = self._patched_row(overlay.skills(p))
             # backend.row_dot, not a BLAS dot: its sequential accumulation
-            # is bitwise identical to the fused gather and to the CSR
-            # matvec behind ``base_scores``, so single probes, batch
-            # flushes, and bus-merged flushes all agree exactly.
+            # is bitwise identical to the CSR matvec behind
+            # ``base_scores``, so patched and untouched rows agree exactly.
             out[p] = self.backend.row_dot(vals, q_vec[cols]) if cols.size else 0.0
-        return out
+        return out, len(touched)
+
+    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
+        return self._score(query, overlay)[0]
 
     def scores_localized(
         self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
@@ -1859,103 +1580,16 @@ class TfidfDeltaSession(DeltaSession):
         """TF-IDF rows are per-person, so :meth:`scores` is already the
         certified-exact localized plan — the cone is exactly the flipped
         people (edge flips carry no document signal at all)."""
+        out, cone = self._score(query, overlay)
         n = self.base.n_people
-        touched = {p for (p, _) in overlay.skill_flips()}
-        return self.scores(query, overlay), LocalizedPlan(
-            mode="exact", k_hop=0, cone_size=len(touched), n_people=n
-        )
-
-    def _gather_rows(
-        self, entries: List[Tuple[int, int, FrozenSet[str]]]
-    ) -> Optional[sp.csr_matrix]:
-        """One CSR over all patched profile rows of a flush — the
-        multi-row sparse gather both batch kernels share.  ``entries``
-        holds ``(slot, person, skills)``; row ``j`` of the result is the
-        patched row of ``entries[j]``."""
-        if not entries:
-            return None
-        rows = [self._patched_row(skills) for (_, _, skills) in entries]
-        gathered = self.backend.gather_rows(rows, self._model.n_terms)
-        return gathered if gathered.nnz else None
-
-    def scores_batch(
-        self, query: Query, overlays: Iterable[NetworkOverlay]
-    ) -> List[np.ndarray]:
-        """Multi-row sparse gathers: every (overlay, flipped person) row of
-        the flush is gathered and a single fused ``gather_dots`` kernel
-        against the query vector re-scores them all — deduplicated through
-        the per-skill-set row memo.  Small flushes (fewer patched rows
-        than the backend's ``tfidf_gather_min_rows`` cost hint — every
-        unfused probe-engine flush) skip the gather: with so few rows its
-        construction costs more than the per-row dot products, so the
-        batched path answers with the sequential loop, base state
-        hoisted.  Both kernels accumulate identically (see
-        ``NumericBackend.row_dot``), so a bus-merged flush crossing the
-        threshold cannot perturb any participant's values."""
-        overlays = list(overlays)
-        if len(overlays) <= 1:
-            return [self.scores(query, ov) for ov in overlays]
-        q_vec, base_scores = self._base_state(query)
-        n = self.base.n_people
-        if not np.any(q_vec):
-            return [np.zeros(n) for _ in overlays]
-        results = [base_scores.copy() for _ in overlays]
-        entries: List[Tuple[int, int, FrozenSet[str]]] = []
-        for i, overlay in enumerate(overlays):
-            for p in sorted({p for (p, _) in overlay.skill_flips()}):
-                results[i][p] = 0.0  # overwritten below unless the row is empty
-                entries.append((i, p, overlay.skills(p)))
-        if len(entries) < self.backend.tfidf_gather_min_rows:
-            for i, p, skills in entries:
-                cols, vals = self._patched_row(skills)
-                if cols.size:
-                    results[i][p] = self.backend.row_dot(vals, q_vec[cols])
-            return results
-        rows = [self._patched_row(skills) for (_, _, skills) in entries]
-        values = self.backend.gather_dots(rows, q_vec)
-        for j, (i, p, _) in enumerate(entries):
-            results[i][p] = values[j]
-        return results
-
-    def scores_multi(
-        self, queries: Sequence[Query], overlay: NetworkOverlay
-    ) -> List[np.ndarray]:
-        """Many queries against one pinned overlay: the patched rows are
-        gathered once and one sparse matrix product against the stacked
-        query vectors re-scores every (person, query) pair."""
-        queries = list(queries)
-        if len(queries) <= 1:
-            return [self.scores(q, overlay) for q in queries]
-        n = self.base.n_people
-        touched = sorted({p for (p, _) in overlay.skill_flips()})
-        entries = [(0, p, overlay.skills(p)) for p in touched]
-        gathered = self._gather_rows(entries)
-        states = [self._base_state(q) for q in queries]
-        values = None
-        if gathered is not None:
-            q_mat = np.stack([q_vec for q_vec, _ in states], axis=1)
-            values = self.backend.spmm(gathered, q_mat)  # (|touched|, |queries|)
-        results: List[np.ndarray] = []
-        for qi, (q_vec, base_scores) in enumerate(states):
-            if not np.any(q_vec):
-                results.append(np.zeros(n))
-                continue
-            out = base_scores.copy()
-            for j, p in enumerate(touched):
-                out[p] = values[j, qi] if values is not None else 0.0
-            results.append(out)
-        return results
+        return out, LocalizedPlan(mode="exact", k_hop=0, cone_size=cone, n_people=n)
 
 
-def _fault_key(query, flips) -> Tuple:
+def _fault_key(query: Query, flips) -> Tuple:
     """A run-stable identity for one probe flush, handed to
     :func:`~repro.runtime.fault_point` so a seeded injector faults the
-    same states every run regardless of thread interleaving."""
-    if isinstance(query, (list, tuple)):
-        qpart: Tuple = tuple(tuple(sorted(q)) for q in query)
-    else:
-        qpart = tuple(sorted(query))
-    return (qpart, tuple(sorted(repr(f) for f in flips)))
+    same states every run."""
+    return (tuple(sorted(query)), tuple(sorted(repr(f) for f in flips)))
 
 
 def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
@@ -2004,7 +1638,6 @@ class ProbeEngine:
         memoize: bool = True,
         full_rebuild: bool = False,
         score_memo: Optional[_LruCache] = None,
-        flush_sink=None,
     ) -> None:
         if isinstance(network, NetworkOverlay):
             # Bind to the overlay's base: probe states derived from the
@@ -2016,21 +1649,12 @@ class ProbeEngine:
         self.base_version = network.version
         self.memoize = memoize
         self.full_rebuild = full_rebuild
-        # Optional cross-request batching sink (the service registry's
-        # FlushBus).  When armed it may merge this engine's session
-        # flushes with concurrent engines' flushes over the same session;
-        # when absent or disarmed every flush goes straight to the
-        # session — the engine stays service-agnostic either way.
-        self.flush_sink = flush_sink
         self.hits = 0  # decision-memo answers (no work at all)
         self.misses = 0  # probes that evaluated the underlying system
         # Decisions derived from a memoized score vector: no ranker
         # evaluation happened, but the decision itself was recomputed
         # (cheap O(n log n) ranking / team re-formation).
         self.score_hits = 0
-        self.multi_flushes = 0  # shared-context multi-query flushes issued
-        self.batch_flushes = 0  # same-query multi-overlay flushes issued
-        self.flushed_probes = 0  # states scored through those flushes
         self._memo = _LruCache(_MAX_MEMO)
         # (query, flips, base version) -> ranker score vector.  Score
         # vectors are person-independent, so this second memo level lets
@@ -2174,11 +1798,7 @@ class ProbeEngine:
         """Probe many ``(person, query, network)`` states at once.
 
         Memo hits (decision-level, then score-level) are answered first.
-        The remaining states are grouped along *two axes*: states pinning
-        the **same overlay under many queries** flush through the
-        session's :class:`SharedProbeContext` (one
-        :meth:`DeltaSession.scores_multi` call — patches computed once),
-        and the rest group by query and flush through
+        The remaining states are grouped by query and flushed through
         :meth:`DeltaSession.scores_batch` in :data:`_BATCH_GROUP`-sized
         chunks — for the GCN one stacked multi-probe forward per chunk.
         Each scored vector is decided via
@@ -2196,17 +1816,17 @@ class ProbeEngine:
             )
         if active_localized() is not None:
             # Localized plans are per-(query, overlay) cones; the stacked
-            # flush kernels (and the cross-request flush bus) are global
-            # by construction, so the scope serves states sequentially —
-            # each through the localized memo keys and plan accounting.
+            # flush kernel is global by construction, so the scope serves
+            # states sequentially — each through the localized memo keys
+            # and plan accounting.
             return [
                 self.probe(person, query, network)
                 for person, query, network in resolved
             ]
         results: List[Optional[Tuple[bool, float]]] = [None] * len(resolved)
         session = None if self.full_rebuild else self._batch_session()
-        # flips -> [(index, person, query, overlay, memo key)]
-        by_flips: Dict[FrozenSet, List[Tuple[int, int, Query, NetworkOverlay, Tuple]]] = {}
+        # query -> [(index, person, network, memo key)]
+        by_query: Dict[Query, List[Tuple[int, int, CollaborationNetwork, Tuple]]] = {}
         for i, (person, query, network) in enumerate(resolved):
             key = self._key(person, query, network)
             if key is not None:
@@ -2219,107 +1839,39 @@ class ProbeEngine:
             if overlay is None:
                 results[i] = self._probe_uncached(person, query, network, key)
                 continue
-            flips = overlay.flips()
             if key is not None:
-                svec = self._score_memo.get((query, flips, self.base_version))
+                svec = self._score_memo.get(
+                    (query, overlay.flips(), self.base_version)
+                )
                 if svec is not None:
                     results[i] = self._decide_scored(
                         person, query, network, svec, key, from_memo=True
                     )
                     continue
-            by_flips.setdefault(flips, []).append((i, person, query, network, key))
+            by_query.setdefault(query, []).append((i, person, network, key))
 
-        # Axis 1: one overlay probed under many queries -> one shared
-        # multi-query flush with the overlay-side patches computed once.
-        by_query: Dict[Query, List[Tuple[int, int, Query, NetworkOverlay, Tuple]]] = {}
-        for flips, items in by_flips.items():
-            queries: Dict[Query, List[Tuple[int, int, Query, NetworkOverlay, Tuple]]] = {}
-            for item in items:
-                queries.setdefault(item[2], []).append(item)
-            if len(queries) <= 1:
-                for item in items:
-                    by_query.setdefault(item[2], []).append(item)
-                continue
-            overlay = self._overlay_for(items[0][3])
-            qlist = list(queries)
-            check_budget(len(qlist))
-            fault_point("session.scores", key=_fault_key(qlist, flips), engine=self)
-            score_list = self._flush_multi(session, overlay, qlist)
-            for query, scores in zip(qlist, score_list):
-                if self.memoize:
-                    self._score_memo.put((query, flips, self.base_version), scores)
-                for i, person, _, network, key in queries[query]:
-                    results[i] = self._decide_scored(
-                        person, query, network, scores, key
-                    )
-
-        # Axis 2: many overlays under one query -> chunked batched
-        # forwards, exactly the PR-3 path.
         for query, items in by_query.items():
             for start in range(0, len(items), _BATCH_GROUP):
                 chunk = items[start : start + _BATCH_GROUP]
                 check_budget(len(chunk))
-                chunk_overlays = [
-                    self._overlay_for(net) for (_, _, _, net, _) in chunk
-                ]
+                overlays = [self._overlay_for(net) for (_, _, net, _) in chunk]
                 fault_point(
                     "session.scores",
-                    key=_fault_key(
-                        query,
-                        [f for ov in chunk_overlays for f in ov.flips()],
-                    ),
+                    key=_fault_key(query, [f for ov in overlays for f in ov.flips()]),
                     engine=self,
                 )
-                score_list = self._flush_batch(session, query, chunk_overlays)
-                for (i, person, _, network, key), scores in zip(chunk, score_list):
+                score_list = session.scores_batch(query, overlays)
+                for (i, person, network, key), overlay, scores in zip(
+                    chunk, overlays, score_list
+                ):
                     if self.memoize:
-                        flips = self._overlay_for(network).flips()
                         self._score_memo.put(
-                            (query, flips, self.base_version), scores
+                            (query, overlay.flips(), self.base_version), scores
                         )
                     results[i] = self._decide_scored(
                         person, query, network, scores, key
                     )
         return results  # type: ignore[return-value]
-
-    def _flush_multi(
-        self,
-        session: DeltaSession,
-        overlay: NetworkOverlay,
-        queries: List[Query],
-    ) -> List[np.ndarray]:
-        """One multi-query flush (budget and fault point already charged
-        on this thread), offered to the flush sink first.  A sink answer
-        of None — bus disarmed, or the merged call failed — falls back to
-        the direct session call, which is the exact pass-through the
-        deterministic single-worker mode always takes."""
-        sink = self.flush_sink
-        score_list = None
-        if sink is not None:
-            score_list = sink.submit_multi(session, overlay, queries)
-        if score_list is None:
-            score_list = session.shared_context(overlay).scores_multi(queries)
-        self.multi_flushes += 1
-        self.flushed_probes += len(queries)
-        return score_list
-
-    def _flush_batch(
-        self,
-        session: DeltaSession,
-        query: Query,
-        overlays: List[NetworkOverlay],
-    ) -> List[np.ndarray]:
-        """One same-query batched flush; sink-first like
-        :meth:`_flush_multi`."""
-        sink = self.flush_sink
-        score_list = None
-        if sink is not None:
-            score_list = sink.submit_batch(session, query, overlays)
-        if score_list is None:
-            score_list = session.scores_batch(query, overlays)
-        self.batch_flushes += 1
-        self.flushed_probes += len(overlays)
-        return score_list
 
     def _decide_scored(
         self,
@@ -2368,23 +1920,6 @@ class ProbeEngine:
     ) -> bool:
         """The decision bit alone (SHAP value functions)."""
         return self.probe(person, query, network)[0]
-
-    def shared_context(
-        self, network: Optional[CollaborationNetwork] = None
-    ) -> Optional[SharedProbeContext]:
-        """A :class:`SharedProbeContext` pinning ``network`` (the base, or
-        an overlay over it) to the target ranker's delta session — None
-        when no session can serve it (``full_rebuild``, foreign network,
-        ranker without a delta path)."""
-        if self.full_rebuild:
-            return None
-        session = self._batch_session()
-        if session is None:
-            return None
-        overlay = self._overlay_for(self.base if network is None else network)
-        if overlay is None:
-            return None
-        return session.shared_context(overlay)
 
     # ------------------------------------------------------------------
     # base-commit rebasing

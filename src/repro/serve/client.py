@@ -133,7 +133,8 @@ class ServeClient:
         """Send one batch and yield its frames as they stream back:
         ``result`` frames in completion order (not request order), then
         exactly one terminal ``batch_end`` — or a terminal ``error``
-        frame when the server refused the batch."""
+        frame when the server refused the batch.  ``max_workers`` rides
+        the frame, where the server validates and ignores it."""
         batch_id = next(self._batch_ids)
         await self.send(
             {
@@ -166,14 +167,13 @@ class ServeClient:
     async def explain_many(
         self,
         requests: Sequence[ExplainRequest],
-        max_workers: int = 1,
         coalesce: bool = True,
     ) -> Tuple[List[ExplainResponse], Dict[str, Any]]:
         """The remote mirror of ``ExplanationService.explain_many``:
         responses in request order plus the ``batch_end`` summary dict."""
         responses: List[Optional[ExplainResponse]] = [None] * len(requests)
         summary: Dict[str, Any] = {}
-        async for frame in self.explain_stream(requests, max_workers, coalesce):
+        async for frame in self.explain_stream(requests, coalesce=coalesce):
             if frame["type"] == "result":
                 responses[int(frame["index"])] = response_from_dict(frame["response"])
             elif frame["type"] == "batch_end":
@@ -199,7 +199,6 @@ def run_remote_workload(
     host: str,
     port: int,
     requests: Sequence[ExplainRequest],
-    max_workers: int = 1,
     coalesce: bool = True,
     session: Optional[str] = None,
 ) -> Tuple[List[ExplainResponse], Dict[str, Any]]:
@@ -208,9 +207,7 @@ def run_remote_workload(
     async def go() -> Tuple[List[ExplainResponse], Dict[str, Any]]:
         client = await ServeClient.connect(host, port, session=session)
         try:
-            return await client.explain_many(
-                requests, max_workers=max_workers, coalesce=coalesce
-            )
+            return await client.explain_many(requests, coalesce=coalesce)
         finally:
             await client.close()
 

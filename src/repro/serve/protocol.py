@@ -12,9 +12,10 @@ Client → server frames:
 ``hello``      name this connection's session (``{"session": "alice"}``);
                the server answers ``welcome`` and stamps the session onto
                every request that doesn't carry its own
-``batch``      ``{"id": ..., "requests": [...], "max_workers": 1,
-               "coalesce": true}`` — dispatch a batch through
-               ``explain_many``
+``batch``      ``{"id": ..., "requests": [...], "coalesce": true}`` —
+               dispatch a batch through ``explain_many``.  An optional
+               ``max_workers`` integer is accepted and ignored (batches
+               run on one thread)
 ``ping``       liveness probe; answered with ``pong``
 =============  ==========================================================
 
@@ -26,9 +27,8 @@ Server → client frames:
                the batch>, "response": {...}}`` — emitted as each request
                completes, *before* the batch finishes, tagged with the
                ``ok/degraded/timed_out/rejected/failed`` outcome taxonomy
-``batch_end``  terminal summary: outcome tally, elapsed wall clock, a
-               :class:`~repro.service.runtime.ServiceStats` snapshot and
-               the registry's flush-bus fusion counters
+``batch_end``  terminal summary: outcome tally, elapsed wall clock and a
+               :class:`~repro.service.runtime.ServiceStats` snapshot
 ``error``      a typed protocol error (:class:`ProtocolError` rendered as
                an :class:`~repro.service.requests.ExplainError` dict) —
                malformed JSON, an oversized frame, an invalid request

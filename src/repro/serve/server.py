@@ -13,14 +13,16 @@ Design points:
   layer's per-session fair share sees *connections* as tenants, exactly
   like the in-process path sees ``ExplainRequest.session``.
 
-* **Results stream as shards complete.**  A ``batch`` frame dispatches
-  ``explain_many`` on a worker thread; the service's ``on_response``
+* **Results stream as requests complete.**  A ``batch`` frame dispatches
+  ``explain_many`` on a dispatch thread; the service's ``on_response``
   hook forwards each completed response into the event loop the moment
-  its shard produces it, so ``result`` frames (tagged with the
+  it is final, so ``result`` frames (tagged with the
   ``ok/degraded/timed_out/rejected/failed`` outcome taxonomy) reach the
   client *before* the batch finishes.  The terminal ``batch_end`` frame
-  carries the outcome tally, a :class:`~repro.service.runtime
-  .ServiceStats` snapshot, and the registry's flush-bus fusion counters.
+  carries the outcome tally and a :class:`~repro.service.runtime
+  .ServiceStats` snapshot.  A batch frame's ``max_workers`` field is
+  validated (it is outside input) and otherwise ignored: each batch runs
+  on one thread, and ``dispatch_threads`` bounds how many run at once.
 
 * **Backpressure, not buffering.**  A connection may pipeline at most
   ``max_inflight_batches`` batches; past that the server simply *stops
@@ -96,13 +98,11 @@ class ServeConfig:
     #: Batches one connection may have in flight before the server stops
     #: reading its socket.
     max_inflight_batches: int = 2
-    #: Cap on a batch's requested ``max_workers`` (1 = force the
-    #: deterministic single-thread mode for every batch).
+    #: Ignored: every batch runs on one thread.  Kept so configurations
+    #: that set it still load.
     max_batch_workers: int = 4
-    #: ``max_workers`` used when a batch frame doesn't name one.
-    default_batch_workers: int = 1
-    #: Threads running ``explain_many`` dispatches (each dispatch owns
-    #: its own shard pool; this bounds concurrent *batches* server-wide).
+    #: Threads running ``explain_many`` dispatches (one batch each; this
+    #: bounds concurrent *batches* server-wide).
     dispatch_threads: int = 4
     #: Registry engine+session builds during one batch above which the
     #: connection is considered to be thrashing the LRUs and is dropped
@@ -121,10 +121,6 @@ class ServeConfig:
         if self.max_inflight_batches < 1:
             raise ValueError(
                 f"max_inflight_batches must be >= 1, got {self.max_inflight_batches}"
-            )
-        if self.max_batch_workers < 1:
-            raise ValueError(
-                f"max_batch_workers must be >= 1, got {self.max_batch_workers}"
             )
         if self.max_frame_bytes < 1024:
             raise ValueError(
@@ -385,7 +381,8 @@ class ExplanationServer:
             return
         try:
             requests = [request_from_dict(item) for item in payload]
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+            # OverflowError: JSON admits Infinity, and int(inf) overflows.
             self._protocol_error(
                 conn, InvalidRequest(f"bad request payload: {exc}"), batch_id
             )
@@ -397,12 +394,11 @@ class ExplanationServer:
             r if r.session else dataclasses.replace(r, session=conn.session)
             for r in requests
         ]
-        raw_workers = frame.get("max_workers", self.config.default_batch_workers)
+        # Validated, then ignored: every batch runs on one thread.
+        raw_workers = frame.get("max_workers", 1)
         try:
-            max_workers = max(
-                1, min(int(raw_workers), self.config.max_batch_workers)
-            )
-        except (TypeError, ValueError):
+            int(raw_workers)
+        except (TypeError, ValueError, OverflowError):
             self._protocol_error(
                 conn,
                 InvalidRequest(f"max_workers must be an integer, got {raw_workers!r}"),
@@ -413,7 +409,7 @@ class ExplanationServer:
 
         await self._admit(conn)
         task = asyncio.ensure_future(
-            self._run_batch(conn, batch_id, requests, max_workers, coalesce)
+            self._run_batch(conn, batch_id, requests, coalesce)
         )
         conn.inflight.add(task)
         task.add_done_callback(conn.inflight.discard)
@@ -457,7 +453,7 @@ class ExplanationServer:
                     overlay.add_edge(int(u), int(v))
                 else:
                     overlay.remove_edge(int(u), int(v))
-        except (TypeError, ValueError, KeyError, IndexError) as exc:
+        except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
             self._protocol_error(
                 conn, InvalidRequest(f"bad commit payload: {exc}"), commit_id
             )
@@ -512,17 +508,15 @@ class ExplanationServer:
         conn: _Connection,
         batch_id: Any,
         requests: List[ExplainRequest],
-        max_workers: int,
         coalesce: bool,
     ) -> None:
         loop = asyncio.get_event_loop()
         registry = self.service.registry
         builds_before = registry.engine_builds + registry.session_builds
-        fusion_before = registry.flush_counters()
 
         def on_response(index: int, response) -> None:
-            # Called on shard threads: hop to the loop, then through the
-            # connection's single writer task.
+            # Called on the dispatch thread: hop to the loop, then
+            # through the connection's single writer task.
             frame = {
                 "type": "result",
                 "id": batch_id,
@@ -537,7 +531,6 @@ class ExplanationServer:
                 self._pool,
                 lambda: self.service.explain_many(
                     requests,
-                    max_workers=max_workers,
                     coalesce=coalesce,
                     on_response=on_response,
                 ),
@@ -554,11 +547,6 @@ class ExplanationServer:
             return
         elapsed = time.perf_counter() - start
         outcomes = outcome_counts(responses)
-        fusion = {
-            name: value - fusion_before.get(name, 0)
-            for name, value in registry.flush_counters().items()
-            if name != "bus_max_fused"
-        }
         builds = (
             registry.engine_builds + registry.session_builds - builds_before
         )
@@ -581,7 +569,6 @@ class ExplanationServer:
                 "elapsed_seconds": elapsed,
                 "outcomes": outcomes,
                 "stats": self.service.stats.snapshot(),
-                "fusion": fusion,
                 "registry_builds": builds,
                 "pressured": conn.pressured,
             }

@@ -1,5 +1,5 @@
 """The explanation service layer: typed requests, a shared engine
-registry, and a concurrent ``explain_many`` front door.
+registry, and a batched ``explain_many`` front door.
 
 * :class:`ExplainRequest` / :class:`ExplainResponse` — one explanation
   task (six kinds × relevance/membership) and its outcome.
@@ -7,8 +7,8 @@ registry, and a concurrent ``explain_many`` front door.
   delta sessions, shared across targets, queries, and facade instances.
 * :class:`ExplanationService` — the long-lived service (paper Figure 2):
   single requests through :meth:`~ExplanationService.explain`, batches
-  through :meth:`~ExplanationService.explain_many` (target-sharded across
-  a thread pool, deterministic at ``max_workers=1``).
+  through :meth:`~ExplanationService.explain_many` (target-sharded,
+  query-sorted and coalesced, on the calling thread).
 * Resilience runtime — per-request :class:`~repro.runtime.Budget`\\ s,
   :class:`AdmissionControl` load-shedding, a full-rebuild degradation
   ladder with :class:`CircuitBreaker`\\ s, and the deterministic
@@ -31,7 +31,7 @@ from repro.service.faults import (
     InjectedSessionError,
     InjectedStaleBaseError,
 )
-from repro.service.registry import EngineRegistry, FlushBus, default_registry
+from repro.service.registry import EngineRegistry, default_registry
 from repro.service.requests import (
     COUNTERFACTUAL_KINDS,
     EXPLANATION_KINDS,
@@ -70,7 +70,6 @@ __all__ = [
     "ExplanationService",
     "FaultInjector",
     "FaultPlan",
-    "FlushBus",
     "InjectedFault",
     "InjectedSessionError",
     "InjectedStaleBaseError",

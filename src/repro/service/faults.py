@@ -18,8 +18,7 @@ makes those hooks misbehave on a deterministic subset of probe states:
 Determinism: each (site, probe-state key, effect) rolls an independent
 uniform draw derived from a BLAKE2 digest of ``seed | site | effect |
 repr(key)``.  The draw depends only on the probe state — never on
-arrival order or thread interleaving — so a seeded chaos run faults the
-same states every time, under any ``max_workers``.
+arrival order — so a seeded chaos run faults the same states every time.
 
 Injected faults are *retryable by construction*: the fallback tier runs
 with the delta paths bypassed, where the session fault sites are never

@@ -215,7 +215,7 @@ def explanation_signature(request: ExplainRequest, explanation: Explanation) -> 
 
     The single definition of the service parity contract — the service
     tests, the fuzz suite's service axis, and the benchmark gate all
-    compare per-call facade, deterministic ``explain_many``, and sharded
+    compare per-call facade, in-process ``explain_many``, and served
     ``explain_many`` responses through this digest, so they can never
     drift onto weaker notions of "identical".
     """

@@ -1,4 +1,4 @@
-"""The session-scoped, concurrent explanation service.
+"""The session-scoped explanation service.
 
 The paper's deployment (Figure 2) is one long-lived ExES instance
 answering many explanation requests against one deployed expert-search /
@@ -13,29 +13,25 @@ through :meth:`explain_many`.
 
 * requests are **sharded by decision target** — every request against the
   same ``(relevance | membership, seed_member)`` target shares one probe
-  engine, and distinct targets are independent, so shards run concurrently
-  on a thread pool (the scoring stack is numpy/scipy-heavy, so threads
-  win: the hot loops release the GIL inside BLAS/spmm kernels);
-* within a shard, requests are **ordered by query** along the PR-4
-  two-axis batching, so consecutive requests hit the engine's score memo
-  and the sessions' per-query base caches while they are hottest — an
-  expert and a non-expert explained for the same query share every
-  ``(query, flips)`` score vector;
+  engine, and shards run one after another in sorted order on the
+  calling thread (the speed of an explanation comes from pruning the
+  search and from the shared memos, not from threads: the GIL serializes
+  the Python-heavy probe loops, and thread-sharded batches measured
+  slower than one thread);
+* within a shard, requests are **ordered by query**, so consecutive
+  requests hit the engine's score memo and the sessions' per-query base
+  caches while they are hottest — an expert and a non-expert explained
+  for the same query share every ``(query, flips)`` score vector;
 * **identical requests are coalesced** — service traffic repeats hot
   requests, and a request is a pure function of the frozen system state,
   so duplicates within a batch are answered once and re-served
   bit-identically (``response.coalesced`` marks them);
 * membership shards **pre-warm the team session's traced base runs** per
   distinct (query, seed); because the session lives in the registry, the
-  trace also stays warm for every later request and facade;
-* ``max_workers=1`` is the **deterministic mode**: shards run sequentially
-  in sorted order on the calling thread — the parity reference the tests
-  pin the sharded mode against.
+  trace also stays warm for every later request and facade.
 
-Engines are never shared across threads (they are not thread-safe); the
-delta sessions underneath them are, via :class:`~repro.search.engine
-._LruCache`'s internal locking — a double-compute under contention is
-benign because session values are deterministic functions of their keys.
+The result is deterministic in the request *set*: the same batch, in any
+order, yields bit-identical responses, equal to per-call facade answers.
 
 **Resilience** (PR 6): every request terminates with a typed outcome
 (:data:`~repro.service.requests.OUTCOMES`).  A request carrying
@@ -52,21 +48,20 @@ straight to that tier after repeated failures.  ``explain_many``
 optionally load-sheds over-limit work via :class:`~repro.service
 .runtime.AdmissionControl` (typed ``rejected``, never an exception).
 The default :class:`~repro.service.runtime.ResilienceConfig` leaves all
-of it inert — no budget, no admission, breakers untripped — so the
-deterministic mode stays bit-identical to the per-call facade.
+of it inert — no budget, no admission, breakers untripped — so
+``explain_many`` stays bit-identical to the per-call facade.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+# Unused here, but perfbench/trace.py patches this module attribute by name.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.embeddings.similarity import SkillEmbedding
 from repro.explain.candidates import LinkPredictor
@@ -267,11 +262,8 @@ class ExplanationService:
         The gate semantics: announcing the commit blocks *new* requests
         at the :meth:`_answer_one` door, then the commit waits until
         every in-flight request has drained — so every response is
-        computed against exactly one base version, and the flush bus can
-        never fuse probes across the boundary (its keys carry the
-        sessions' ``base_version``, which only moves here, with zero
-        requests in flight).  Concurrent commits serialize on the same
-        gate."""
+        computed against exactly one base version.  Concurrent commits
+        serialize on the same gate."""
         if overlay.base is not self.network:
             raise ValueError("overlay does not extend this service's network")
         with self._version_gate:
@@ -532,11 +524,9 @@ class ExplanationService:
     ) -> List[ExplainResponse]:
         """Answer a batch of requests, sharded by decision target.
 
-        Responses come back in request order.  ``max_workers=1`` is the
-        deterministic single-thread mode (shards run sequentially in
-        sorted order); ``None`` picks a worker count from the shard count
-        and CPU count.  Per-request failures are captured in
-        ``response.error`` — one bad request never takes down the batch.
+        Responses come back in request order.  Shards run sequentially in
+        sorted order on the calling thread; ``max_workers`` is accepted
+        and ignored, so callers that still pass it keep working.
 
         ``coalesce=True`` (the default) answers *identical* requests once
         per batch: service traffic repeats hot requests (many users, the
@@ -553,18 +543,12 @@ class ExplanationService:
 
         ``on_response`` — when given — is invoked exactly once per
         request, with ``(index, response)``, the moment that request's
-        response is final, *from the shard's worker thread*.  This is
-        the streaming hook the serving front end rides: partial results
-        leave the process while other shards are still running.
-        Callbacks must be cheap and thread-safe; a callback that raises
-        is counted (``on_response_error``) and never fails the shard.
+        response is final.  This is the streaming hook the serving front
+        end rides: partial results leave the process while later shards
+        are still running.  A callback that raises is counted
+        (``on_response_error``) and never fails the batch.
         """
         requests = list(requests)
-        if not requests:
-            return []
-        shards = self._shard(requests)
-        if max_workers is None:
-            max_workers = min(len(shards), max(1, (os.cpu_count() or 2) - 1), 8)
         results: List[Optional[ExplainResponse]] = [None] * len(requests)
 
         def emit(index: int) -> None:
@@ -576,7 +560,7 @@ class ExplanationService:
                 self.stats.bump("on_response_error")
                 logger.warning("on_response callback failed", exc_info=True)
 
-        def run_shard(shard: List[Tuple[int, ExplainRequest]]) -> None:
+        for shard in self._shard(requests):
             try:
                 self._warm_shard(shard)
             except _EXPECTED_WARM_FAILURES:
@@ -640,41 +624,6 @@ class ExplanationService:
                 if coalesce and results[i].outcome != "rejected":
                     answered[request] = results[i]
                 emit(i)
-
-        if max_workers <= 1 or len(shards) == 1:
-            # Deterministic sequential mode: the flush bus stays disarmed,
-            # so every probe flush is an exact pass-through to its session.
-            for shard in shards:
-                run_shard(shard)
-        else:
-            # Concurrent shards probing the same (ranker, base version)
-            # may now merge their probe flushes: each shard thread arms the
-            # registry's flush bus for its own lifetime — the armed count
-            # is thus a live concurrency signal (a flush only waits out the
-            # batching window while another shard is actually running) —
-            # and the merge activity this batch generated is surfaced
-            # through the service stats.
-            bus = getattr(self.registry, "flush_bus", None)
-            before = bus.counters() if bus is not None else {}
-
-            def run_shard_armed(shard: List[Tuple[int, ExplainRequest]]) -> None:
-                with bus.armed() if bus is not None else nullcontext():
-                    run_shard(shard)
-
-            try:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    # list() propagates unexpected shard-level crashes.
-                    list(pool.map(run_shard_armed, shards))
-            finally:
-                if bus is not None:
-                    for name, value in bus.counters().items():
-                        delta = value - before.get(name, 0)
-                        if name == "max_fused":
-                            # A high-water mark, not a rate: track the
-                            # batch's own peak.
-                            delta = value if delta > 0 else 0
-                        if delta > 0:
-                            self.stats.bump(f"bus.{name}", delta)
         return results  # type: ignore[return-value]
 
     def _shard(
@@ -683,8 +632,8 @@ class ExplanationService:
         """Group (index, request) pairs by decision target, each group
         sorted by (query, person, kind) so same-query requests run
         back-to-back against the hottest caches.  Shard order is sorted
-        too: the single-thread mode is fully deterministic in the request
-        *set*, not just the request order."""
+        too: ``explain_many`` is fully deterministic in the request *set*,
+        not just the request order."""
         groups: Dict[Tuple, List[Tuple[int, ExplainRequest]]] = {}
         for i, request in enumerate(requests):
             groups.setdefault(request.target_key, []).append((i, request))

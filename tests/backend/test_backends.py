@@ -1,4 +1,4 @@
-"""The numeric backend seam and the cross-request flush bus.
+"""The numeric backend seam.
 
 Three layers under test:
 
@@ -8,19 +8,14 @@ Three layers under test:
 * **resolution** — ``get_backend``/``set_backend``/``register_backend``
   and ``REPRO_BACKEND`` behave as documented, and sessions capture the
   active backend at construction;
-* **cost hints** — the backend-owned break-even thresholds (not module
-  constants any more) are what pick the sequential-vs-fused kernel path,
-  pinned with a spy backend: small probe-engine flushes still take the
-  sequential fallback under the default hints.
-
-Plus unit tests for :class:`FlushBus` itself: merging, slicing, disarmed
-pass-through, merged-call failure fallback, and the fused-size cap.
+* **cost hint** — the backend-owned break-even threshold (not a module
+  constant any more) is what picks the plain-vs-stacked PageRank walk,
+  pinned with a spy backend: small networks keep plain walks under the
+  default hint.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import Counter
 
 import numpy as np
@@ -38,7 +33,6 @@ from repro.backend import (
 from repro.datasets import toy_network
 from repro.graph import NetworkOverlay
 from repro.search import DocumentExpertRanker, PageRankExpertRanker
-from repro.service import FlushBus
 
 ATOL = 1e-9
 
@@ -107,12 +101,6 @@ class TestBackendConformance:
         np.testing.assert_allclose(
             gathered_f.toarray(), gathered_n.toarray(), rtol=0, atol=ATOL
         )
-        np.testing.assert_allclose(
-            fused.gather_dots(rows, weights),
-            naive.gather_dots(rows, weights),
-            rtol=0,
-            atol=ATOL,
-        )
         for cols, vals in rows:
             assert fused.row_dot(vals, weights[cols]) == pytest.approx(
                 naive.row_dot(vals, weights[cols]), abs=ATOL
@@ -148,7 +136,7 @@ class TestBackendConformance:
         )
         np.testing.assert_array_equal(conv_f, conv_n)
         np.testing.assert_allclose(sol_f, sol_n, rtol=0, atol=ATOL)
-        # Composition insensitivity (the flush-bus contract): each stacked
+        # Composition insensitivity (the backend contract): each stacked
         # column is bitwise the lone power iteration over its restart.
         for j in range(k):
             lone, lone_conv = fused.power_iteration(
@@ -385,7 +373,7 @@ class TestBackendResolution:
 
 
 # ----------------------------------------------------------------------
-# cost hints: backend-owned thresholds drive the kernel-path choice
+# cost hint: the backend-owned threshold drives the kernel-path choice
 # ----------------------------------------------------------------------
 class _SpyBackend(NumpyBackend):
     """Counts kernel calls; hints overridable per instance."""
@@ -396,14 +384,6 @@ class _SpyBackend(NumpyBackend):
         self.calls = Counter()
         for hint, value in hints.items():
             setattr(self, hint, value)
-
-    def row_dot(self, vals, weights):
-        self.calls["row_dot"] += 1
-        return super().row_dot(vals, weights)
-
-    def gather_dots(self, rows, weights):
-        self.calls["gather_dots"] += 1
-        return super().gather_dots(rows, weights)
 
     def power_iteration(self, *args, **kwargs):
         self.calls["power_iteration"] += 1
@@ -428,45 +408,17 @@ def _skill_flip_overlays(net, rng, n_overlays):
 
 
 class TestCostHints:
-    """The former module constants live on the backend now; the spy pins
-    that the *hint value* is what routes a flush, and that the default
-    hints keep small probe-engine flushes on the sequential fallback."""
+    """The former module constant lives on the backend now; the spy pins
+    that the *hint value* is what routes a walk, and that the default
+    hint keeps small networks on plain walks."""
 
     def test_default_hint_values(self):
-        assert NumpyBackend().tfidf_gather_min_rows == 96
         assert NumpyBackend().pagerank_stack_min_people == 192
         # The constants really are gone from the engine module.
         import repro.search.engine as engine_mod
 
         assert not hasattr(engine_mod, "_TFIDF_GATHER_MIN_ROWS")
         assert not hasattr(engine_mod, "_PAGERANK_STACK_MIN_PEOPLE")
-
-    def test_tfidf_small_flush_takes_sequential_fallback(self, toy_net):
-        rng = np.random.default_rng(7)
-        query = frozenset(sorted(toy_net.skill_universe())[:3])
-        overlays = _skill_flip_overlays(toy_net, rng, 6)
-
-        spy = _SpyBackend()  # default hints: 6 rows < 96 -> sequential
-        previous = set_backend(spy)
-        try:
-            session = DocumentExpertRanker().delta_session(toy_net)
-            sequential = session.scores_batch(query, overlays)
-        finally:
-            set_backend(previous)
-        assert spy.calls["gather_dots"] == 0
-        assert spy.calls["row_dot"] > 0
-
-        fused_spy = _SpyBackend(tfidf_gather_min_rows=1)
-        previous = set_backend(fused_spy)
-        try:
-            session = DocumentExpertRanker().delta_session(toy_net)
-            fused = session.scores_batch(query, overlays)
-        finally:
-            set_backend(previous)
-        assert fused_spy.calls["gather_dots"] == 1
-        # Both routes produce bitwise-identical flush results.
-        for seq_vec, fused_vec in zip(sequential, fused):
-            np.testing.assert_array_equal(seq_vec, fused_vec)
 
     def test_pagerank_small_network_stays_sequential(self, toy_net):
         rng = np.random.default_rng(11)
@@ -493,178 +445,3 @@ class TestCostHints:
         assert stacked_spy.calls["power_iteration_stacked"] > 0
         for seq_vec, stacked_vec in zip(sequential, stacked):
             np.testing.assert_array_equal(seq_vec, stacked_vec)
-
-
-# ----------------------------------------------------------------------
-# FlushBus unit behavior
-# ----------------------------------------------------------------------
-class _Ov(float):
-    """Overlay stand-in: the float value doubles as the flip-set
-    identity the bus dedupes in-flight items by."""
-
-    def flips(self):
-        return ("flip", float(self))
-
-
-def _ovs(*values):
-    return [_Ov(v) for v in values]
-
-
-class _FakeSession:
-    """A session double whose batched kernels tag results with call
-    shape, so tests can see exactly which merged call served a slice."""
-
-    base_version = 0
-
-    def __init__(self, fail=False):
-        self.fail = fail
-        self.batch_calls = []
-
-    def scores_batch(self, query, overlays):
-        if self.fail:
-            raise RuntimeError("kernel exploded")
-        self.batch_calls.append(len(overlays))
-        return [np.full(3, float(ov)) for ov in overlays]
-
-
-class TestFlushBus:
-    def test_disarmed_is_pass_through(self):
-        bus = FlushBus(window=0.0)
-        session = _FakeSession()
-        assert bus.submit_batch(session, ("q",), _ovs(1, 2)) is None
-        assert session.batch_calls == []
-        assert bus.counters()["flushes"] == 0
-
-    def test_armed_single_participant_executes_directly(self):
-        bus = FlushBus(window=0.0)
-        session = _FakeSession()
-        with bus.armed():
-            results = bus.submit_batch(session, ("q",), _ovs(1, 2, 3))
-        assert [vec[0] for vec in results] == [1.0, 2.0, 3.0]
-        assert session.batch_calls == [3]
-        counters = bus.counters()
-        assert counters["flushes"] == 1
-        assert counters["merged_flushes"] == 0  # nothing to fuse with
-
-    def test_lone_armed_scope_skips_window(self):
-        # A huge window would wedge this test if a lone shard paid it;
-        # with no other armed scope live the flush runs immediately.
-        bus = FlushBus(window=5.0)
-        session = _FakeSession()
-        with bus.armed():
-            start = time.perf_counter()
-            results = bus.submit_batch(session, ("q",), _ovs(1))
-            elapsed = time.perf_counter() - start
-        assert [vec[0] for vec in results] == [1.0]
-        assert elapsed < 1.0
-
-    def test_concurrent_submissions_merge_and_slice(self):
-        bus = FlushBus(window=0.05)
-        session = _FakeSession()
-        results = {}
-        barrier = threading.Barrier(3)
-
-        def submit(name, items):
-            barrier.wait()
-            with bus.armed():
-                results[name] = bus.submit_batch(session, ("q",), items)
-
-        threads = [
-            threading.Thread(target=submit, args=(name, items))
-            for name, items in (
-                ("a", _ovs(1, 2)), ("b", _ovs(3)), ("c", _ovs(4, 5))
-            )
-        ]
-        # The outer armed scope keeps the leader's crowd check satisfied
-        # even if its submit lands before the other workers arm.
-        with bus.armed():
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        # One merged kernel call served all five items...
-        assert session.batch_calls == [5]
-        # ...and every participant got exactly its own slice back.
-        assert [vec[0] for vec in results["a"]] == [1.0, 2.0]
-        assert [vec[0] for vec in results["b"]] == [3.0]
-        assert [vec[0] for vec in results["c"]] == [4.0, 5.0]
-        counters = bus.counters()
-        assert counters["flushes"] == 3
-        assert counters["merged_flushes"] == 1
-        assert counters["fused_participants"] == 3
-        assert counters["fused_items"] == 5
-        assert counters["max_fused"] == 3
-        assert counters["deduped_items"] == 0
-
-    def test_duplicate_in_flight_items_computed_once(self):
-        bus = FlushBus(window=0.05)
-        session = _FakeSession()
-        results = {}
-        barrier = threading.Barrier(2)
-
-        def submit(name, items):
-            barrier.wait()
-            with bus.armed():
-                results[name] = bus.submit_batch(session, ("q",), items)
-
-        threads = [
-            threading.Thread(target=submit, args=(name, items))
-            for name, items in (("a", _ovs(1, 2)), ("b", _ovs(2, 3)))
-        ]
-        with bus.armed():
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        # Both participants wanted item 2: the merged kernel call ran
-        # only the three distinct items, and both slices still line up.
-        assert session.batch_calls == [3]
-        assert [vec[0] for vec in results["a"]] == [1.0, 2.0]
-        assert [vec[0] for vec in results["b"]] == [2.0, 3.0]
-        counters = bus.counters()
-        assert counters["merged_flushes"] == 1
-        assert counters["fused_items"] == 4  # as submitted
-        assert counters["deduped_items"] == 1  # one collapsed duplicate
-
-    def test_merged_failure_falls_back_to_none(self):
-        bus = FlushBus(window=0.0)
-        session = _FakeSession(fail=True)
-        with bus.armed():
-            assert bus.submit_batch(session, ("q",), _ovs(1)) is None
-
-    def test_max_items_overflow_starts_new_group(self):
-        bus = FlushBus(window=0.05, max_items=3)
-        session = _FakeSession()
-        results = {}
-        barrier = threading.Barrier(2)
-
-        def submit(name, items):
-            barrier.wait()
-            with bus.armed():
-                results[name] = bus.submit_batch(session, ("q",), items)
-
-        threads = [
-            threading.Thread(target=submit, args=(name, items))
-            for name, items in (("a", _ovs(1, 2)), ("b", _ovs(3, 4)))
-        ]
-        with bus.armed():
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        # 2 + 2 items over a cap of 3: two separate kernel calls, both
-        # participants still answered correctly.
-        assert sorted(session.batch_calls) == [2, 2]
-        assert [vec[0] for vec in results["a"]] == [1.0, 2.0]
-        assert [vec[0] for vec in results["b"]] == [3.0, 4.0]
-        assert bus.counters()["merged_flushes"] == 0
-
-    def test_armed_is_reentrant(self):
-        bus = FlushBus(window=0.0)
-        session = _FakeSession()
-        with bus.armed():
-            with bus.armed():
-                assert bus.submit_batch(session, ("q",), _ovs(1)) is not None
-            # still armed after the inner scope exits
-            assert bus.submit_batch(session, ("q",), _ovs(2)) is not None
-        assert bus.submit_batch(session, ("q",), _ovs(3)) is None

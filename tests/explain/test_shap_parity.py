@@ -58,7 +58,7 @@ def _subject(ranker, net, query):
 
 class TestKernelEqualsExactThroughSharedSessions:
     """``kernel_shap`` (full enumeration budget, no L1) == ``exact_shap``
-    when both route through the shared multi-query context."""
+    when both route through the shared probe engine."""
 
     @pytest.mark.parametrize("ranker_name", sorted(RANKERS))
     def test_query_features(self, ranker_name):
@@ -75,9 +75,9 @@ class TestKernelEqualsExactThroughSharedSessions:
         np.testing.assert_allclose(kernel.values, exact.values, atol=1e-6)
         assert kernel.base_value == exact.base_value
         assert kernel.full_value == exact.full_value
-        # The sweep really went through the shared machinery: the engine
-        # served multi-query flushes and/or memoized score vectors.
-        assert engine.multi_flushes > 0 or engine.score_hits > 0
+        # The sweep really went through the shared engine: the second
+        # estimator's coalitions were answered from its memo levels.
+        assert engine.hits + engine.score_hits > 0
 
     @pytest.mark.parametrize("ranker_name", sorted(RANKERS))
     def test_skill_features(self, ranker_name):

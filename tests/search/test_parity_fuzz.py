@@ -16,13 +16,11 @@ and including annihilating add-then-remove pairs — and asserts
 * batched probe flushes decide identically to sequential probes,
 * random probe *batches* through ``scores_batch`` equal sequential
   ``scores`` calls and full rebuilds to 1e-9 for **every ranker** (the
-  PR-4 batched delta forwards), and random multi-*query* sweeps through
-  ``SharedProbeContext.scores_multi`` equal per-query scoring and full
-  rebuilds the same way,
+  PR-4 batched delta forwards), and random multi-*query* sweeps over one
+  pinned overlay through ``ProbeEngine.probe_batch`` decide like
+  sequential probes and score like full rebuilds the same way,
 * mixed service workloads answer identically across per-call facade
-  invocation, deterministic single-thread ``explain_many``, sharded
-  execution, and sharded execution with a wide flush-bus window (probe
-  flushes from concurrent requests merged into fused kernel calls),
+  invocation, ``explain_many``, and ``explain_many`` over a live socket,
 * randomized *committed* edit chains — ``overlay.commit()`` promoting
   flips into the base, live sessions rebased O(Δ) — score and form
   exactly as a fresh stack built from scratch on the committed network,
@@ -36,6 +34,8 @@ the parametrization grid) is marked ``slow`` and run in CI with
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -58,7 +58,6 @@ from repro.service import (
     FACADE_METHODS,
     EngineRegistry,
     ExplanationService,
-    FlushBus,
     explanation_signature,
     make_requests,
 )
@@ -392,13 +391,14 @@ class TestBatchedScoreFuzz:
 
 
 # ----------------------------------------------------------------------
-# shared multi-query sessions: scores_multi == sequential == full rebuild
+# multi-query sweeps: probe_batch == sequential probes == full rebuild
 # ----------------------------------------------------------------------
 class TestMultiQueryFuzz:
     """One pinned overlay probed under many random query subsets (the SHAP
-    value-function shape) through ``SharedProbeContext.scores_multi`` must
-    equal per-query ``scores`` calls and full rebuilds to 1e-9 — including
-    the empty query subset."""
+    value-function shape) through ``ProbeEngine.probe_batch`` must decide
+    exactly like sequential probes, and every score vector the sweep
+    memoized must equal the full rebuild to 1e-9 — including the empty
+    query subset."""
 
     @staticmethod
     def _query_subsets(net, rng, n_subsets=6):
@@ -414,13 +414,16 @@ class TestMultiQueryFuzz:
     def _run_multi(cls, ranker, net, rng, chain_length):
         queries = cls._query_subsets(net, rng)
         overlay = _random_chain(net, rng, chain_length)
-        context = ranker.delta_session(net).shared_context(overlay)
-        multi = context.scores_multi(queries)
-        fresh = ranker.delta_session(net)
-        sequential = [fresh.scores(q, overlay) for q in queries]
+        person = int(rng.integers(0, net.n_people))
+        target = RelevanceTarget(ranker, k=3)
+        engine = ProbeEngine(target, net)
+        batched = engine.probe_batch([(person, q, overlay) for q in queries])
+        seq_engine = ProbeEngine(target, net, memoize=False)
+        sequential = [seq_engine.probe(person, q, overlay) for q in queries]
+        assert batched == sequential
         assert overlay._mat is None, "multi-query path materialized the overlay"
-        for q, fast, seq in zip(queries, multi, sequential):
-            np.testing.assert_allclose(fast, seq, rtol=0, atol=ATOL)
+        for q in queries:
+            fast = engine._score_memo.get((q, overlay.flips(), engine.base_version))
             slow = _reference_scores(ranker, q, overlay)
             np.testing.assert_allclose(fast, slow, rtol=0, atol=ATOL)
 
@@ -584,18 +587,42 @@ class TestBatchedProbeFuzz:
 
 
 # ----------------------------------------------------------------------
-# service axis: explain_many sharded vs single-thread vs per-call facade
+# service axis: explain_many vs per-call facade vs over the wire
 # ----------------------------------------------------------------------
 _SERVICE_FACTUAL = FactualConfig(
     n_samples=16, max_samples=32, selection_samples=8, exact_limit=4
 )
 _SERVICE_BEAM = BeamConfig(beam_size=4, n_candidates=3, max_size=2, n_explanations=2)
 _SERVICE_KINDS = ("skills", "query", "cf_skills", "cf_query")
+
+
+def _remote_explain_many(service, requests):
+    """``(responses, batch_end summary)`` for one batch served by an
+    ephemeral-port :class:`ExplanationServer` over ``service``.  Requests
+    must carry the ``"parity"`` session so the wire round-trip returns
+    *equal* request objects (the server stamps unstamped requests with
+    the connection session)."""
+    import asyncio
+
+    from repro.serve import ExplanationServer, ServeClient, ServeConfig
+
+    async def scenario():
+        server = await ExplanationServer(service, ServeConfig(port=0)).start()
+        client = await ServeClient.connect("127.0.0.1", server.port, session="parity")
+        try:
+            return await client.explain_many(requests)
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+
 class TestServiceFuzz:
-    """Randomized mixed request workloads: the deterministic single-thread
-    ``explain_many`` must be bit-identical to per-call facade invocation,
-    and the sharded (thread-pool) mode must match the deterministic mode —
-    relevance and membership requests together, for every ranker."""
+    """Randomized mixed request workloads: ``explain_many`` must be
+    bit-identical to per-call facade invocation, in process and over a
+    live socket — relevance and membership requests together, for every
+    ranker."""
 
     @staticmethod
     def _random_requests(ranker, former, net, rng, k):
@@ -630,7 +657,10 @@ class TestServiceFuzz:
             [sorted(net.skills(p)) for p in net.people()] * 2, dim=8, min_count=1
         )
         predictor = HeuristicLinkPredictor("common_neighbors").fit(net)
-        requests = cls._random_requests(ranker, former, net, rng, k)
+        requests = [
+            dataclasses.replace(r, session="parity")
+            for r in cls._random_requests(ranker, former, net, rng, k)
+        ]
 
         facade = ExES(
             network=net, ranker=ranker, embedding=embedding,
@@ -649,34 +679,20 @@ class TestServiceFuzz:
             for request in requests
         ]
 
-        # Three service axes against the per-call reference: deterministic
-        # single-thread, sharded, and sharded with a wide flush-bus window
-        # (probe flushes from concurrent shards merge into fused kernel
-        # calls — composition-insensitive backends keep them bit-exact).
-        fused_bus = FlushBus(window=0.02)
-        for max_workers, bus in ((1, None), (4, None), (4, fused_bus)):
-            registry = EngineRegistry()
-            if bus is not None:
-                registry.flush_bus = bus
-            service = ExplanationService(
-                network=net, ranker=ranker, embedding=embedding,
-                link_predictor=predictor, former=former, k=k,
-                factual_config=_SERVICE_FACTUAL, beam_config=_SERVICE_BEAM,
-                registry=registry,
-            )
-            responses = service.explain_many(requests, max_workers=max_workers)
-            assert all(r.ok for r in responses), [r.error for r in responses]
-            got = [
-                explanation_signature(r.request, r.explanation) for r in responses
-            ]
-            label = f"max_workers={max_workers}, fused={bus is not None}"
-            assert got == reference, f"{label} diverged"
-            counters = registry.flush_counters()
-            if max_workers == 1:
-                # Deterministic mode keeps the bus disarmed: pure
-                # pass-through, nothing may merge.
-                assert counters["bus_flushes"] == 0
-                assert counters["bus_merged_flushes"] == 0
+        service = ExplanationService(
+            network=net, ranker=ranker, embedding=embedding,
+            link_predictor=predictor, former=former, k=k,
+            factual_config=_SERVICE_FACTUAL, beam_config=_SERVICE_BEAM,
+            registry=EngineRegistry(),
+        )
+        responses = service.explain_many(requests)
+        assert all(r.ok for r in responses), [r.error for r in responses]
+        got = [explanation_signature(r.request, r.explanation) for r in responses]
+        assert got == reference, "explain_many diverged from the facade"
+        remote, summary = _remote_explain_many(service, requests)
+        got = [explanation_signature(r.request, r.explanation) for r in remote]
+        assert got == reference, "wire responses diverged from the facade"
+        assert summary["outcomes"] == {"ok": len(requests)}
 
     @pytest.mark.parametrize("ranker_name", sorted(RANKERS))
     @pytest.mark.parametrize("seed", QUICK_SEEDS)
@@ -707,20 +723,14 @@ class TestServiceFuzz:
 # serving axis: wire responses == direct explain_many, bit-identical
 # ----------------------------------------------------------------------
 class TestServeParityFuzz:
-    """The socket front end adds zero answer drift: deterministic
-    single-worker batches served over a live connection must be
-    bit-identical (by ``explanation_signature``) to direct
-    ``explain_many`` on the same service — for every ranker.  The
-    session is stamped client-side so the request objects on both axes
-    are *equal*, making the signatures directly comparable."""
+    """The socket front end adds zero answer drift: batches served over a
+    live connection must be bit-identical (by ``explanation_signature``)
+    to direct ``explain_many`` on the same service — for every ranker.
+    The session is stamped client-side so the request objects on both
+    axes are *equal*, making the signatures directly comparable."""
 
     @classmethod
     def _run_wire_parity(cls, ranker, net, seed, k=3):
-        import asyncio
-        import dataclasses
-
-        from repro.serve import ExplanationServer, ServeClient, ServeConfig
-
         rng = np.random.default_rng(93_000 + seed)
         former = CoverTeamFormer(ranker)
         embedding = train_ppmi_embedding(
@@ -737,23 +747,12 @@ class TestServeParityFuzz:
             factual_config=_SERVICE_FACTUAL, beam_config=_SERVICE_BEAM,
             registry=EngineRegistry(),
         )
-        direct = service.explain_many(requests, max_workers=1)
+        direct = service.explain_many(requests)
         assert all(r.ok for r in direct), [r.error for r in direct]
         reference = [
             explanation_signature(r.request, r.explanation) for r in direct
         ]
-
-        async def scenario():
-            server = await ExplanationServer(service, ServeConfig(port=0)).start()
-            client = await ServeClient.connect(
-                "127.0.0.1", server.port, session="parity"
-            )
-            responses, summary = await client.explain_many(requests, max_workers=1)
-            await client.close()
-            await server.shutdown()
-            return responses, summary
-
-        responses, summary = asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+        responses, summary = _remote_explain_many(service, requests)
         got = [explanation_signature(r.request, r.explanation) for r in responses]
         assert got == reference, "wire responses diverged from direct explain_many"
         assert summary["outcomes"] == {"ok": len(requests)}

@@ -69,8 +69,8 @@ def make_service(serve_net, serve_embedding, serve_predictor):
 
 def multi_shard_requests(service, net, n_queries=2, kinds=("skills", "cf_skills")):
     """Requests spanning several decision targets (relevance + two
-    membership seeds), so sharded ``explain_many`` genuinely overlaps
-    work and partial results exist to stream."""
+    membership seeds), so ``explain_many`` runs several shards and
+    partial results exist to stream."""
     skills = sorted(net.skill_universe())
     queries = [tuple(skills[i : i + 3]) for i in range(0, 3 * n_queries, 3)]
     requests = []

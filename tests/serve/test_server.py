@@ -87,7 +87,7 @@ class TestStreaming:
         async def scenario():
             server = await start_server(service)
             client = await ServeClient.connect("127.0.0.1", server.port)
-            responses, summary = await client.explain_many(requests, max_workers=2)
+            responses, summary = await client.explain_many(requests)
             await client.close()
             await server.shutdown()
             return responses, summary
@@ -96,9 +96,8 @@ class TestStreaming:
         assert summary["n_requests"] == len(requests)
         assert summary["outcomes"] == {"ok": len(requests)}
         assert summary["elapsed_seconds"] > 0
-        # ServiceStats snapshot + flush-bus fusion counters ride along.
+        # The ServiceStats snapshot rides along.
         assert any(key.startswith("outcome.") for key in summary["stats"])
-        assert "bus_flushes" in summary["fusion"]
         assert all(r.outcome == "ok" for r in responses)
 
 
@@ -176,15 +175,13 @@ class TestConcurrentClients:
         service = make_service()
         requests_a = workload_for(service, n_queries=1)
         requests_b = list(reversed(workload_for(service, n_queries=2)))
-        reference_a = _signatures(service.explain_many(requests_a, max_workers=1))
-        reference_b = _signatures(service.explain_many(requests_b, max_workers=1))
+        reference_a = _signatures(service.explain_many(requests_a))
+        reference_b = _signatures(service.explain_many(requests_b))
 
         async def one_client(port, requests, session):
             client = await ServeClient.connect("127.0.0.1", port, session=session)
             try:
-                responses, summary = await client.explain_many(
-                    requests, max_workers=2
-                )
+                responses, summary = await client.explain_many(requests)
             finally:
                 await client.close()
             return responses, summary
@@ -263,15 +260,17 @@ class TestBackpressure:
         async def scenario():
             server = await start_server(service)
             client = await ServeClient.connect("127.0.0.1", server.port)
-            responses, summary = await client.explain_many(requests, max_workers=4)
-            # The shed happened (workers > max_in_flight), so the batch
-            # summary flags pressure...
+            service.admission.try_acquire("hog")  # saturate the pool
+            try:
+                responses, summary = await client.explain_many(requests)
+            finally:
+                service.admission.release("hog")
+            # The shed happened (the pool was full), so the batch summary
+            # flags pressure...
             first = (summary["outcomes"], summary["pressured"])
             # ...and the *next* batch on this connection goes through
             # drain-mode admission, then completes normally.
-            responses2, summary2 = await client.explain_many(
-                requests[:2], max_workers=1
-            )
+            responses2, summary2 = await client.explain_many(requests[:2])
             stats = dict(server.stats)
             await client.close()
             await server.shutdown()
@@ -451,9 +450,7 @@ class TestLiveCommits:
                 elif frame["type"] == "batch_end":
                     break
             # Everything after the epoch boundary is on the new base.
-            responses2, summary2 = await worker.explain_many(
-                requests[:4], max_workers=2
-            )
+            responses2, summary2 = await worker.explain_many(requests[:4])
             stats = dict(server.stats)
             await worker.close()
             await admin.close()
@@ -529,7 +526,7 @@ class TestSpillRestore:
             client = await ServeClient.connect(
                 "127.0.0.1", server.port, session="spill"
             )
-            responses, _ = await client.explain_many(requests, max_workers=2)
+            responses, _ = await client.explain_many(requests)
             await client.close()
             await server.shutdown()  # writes the spill file
             return restore_stats, responses
@@ -557,7 +554,7 @@ class TestSpillRestore:
             client = await ServeClient.connect(
                 "127.0.0.1", server.port, session="spill"
             )
-            responses, _ = await client.explain_many(requests, max_workers=1)
+            responses, _ = await client.explain_many(requests)
             await client.close()
             await server.shutdown()
             return restore_stats, builds_after_restore, responses
@@ -585,7 +582,7 @@ class TestSpillRestore:
         async def warm_and_spill():
             server = await start_server(service1, spill_path=spill)
             client = await ServeClient.connect("127.0.0.1", server.port)
-            await client.explain_many(requests, max_workers=1)
+            await client.explain_many(requests)
             await client.close()
             await server.shutdown()
 
@@ -646,3 +643,70 @@ class TestHousekeeping:
         responses = run(scenario())
         assert sum(1 for r in responses if r.coalesced) == len(base)
         assert all(r.outcome == "ok" for r in responses)
+
+
+class TestNonFiniteNumbers:
+    """JSON admits ``Infinity``, and ``int(inf)`` raises OverflowError,
+    not ValueError: every server site that converts outside numbers to
+    int must answer a typed ``InvalidRequest`` frame and keep the
+    connection open (proved by a pong afterwards)."""
+
+    @staticmethod
+    def _provoke(make_service, workload_for, serve_harness, build_frame):
+        from repro.explain.serialize import request_to_dict
+
+        start_server, run = serve_harness
+        service = make_service()
+        request = request_to_dict(
+            workload_for(service, n_queries=1, kinds=("skills",))[0]
+        )
+
+        async def scenario():
+            server = await start_server(service)
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            # encode_frame writes float("inf") as the JSON token Infinity.
+            await client.send(build_frame(request))
+            reply = await client.recv()
+            pong = await client.ping("still-alive")
+            await client.close()
+            await server.shutdown()
+            return reply, pong
+
+        reply, pong = run(scenario())
+        assert reply["type"] == "error"
+        assert reply["id"] == 5
+        assert reply["error"]["kind"] == "InvalidRequest"
+        assert pong == {"type": "pong", "id": "still-alive"}
+        return service
+
+    def test_infinite_max_workers(self, make_service, workload_for, serve_harness):
+        self._provoke(
+            make_service, workload_for, serve_harness,
+            lambda request: {
+                "type": "batch", "id": 5, "requests": [request],
+                "max_workers": float("inf"),
+            },
+        )
+
+    def test_infinite_request_person(
+        self, make_service, workload_for, serve_harness
+    ):
+        self._provoke(
+            make_service, workload_for, serve_harness,
+            lambda request: {
+                "type": "batch", "id": 5,
+                "requests": [dict(request, person=float("inf"))],
+            },
+        )
+
+    def test_infinite_commit_person(
+        self, make_service, workload_for, serve_harness
+    ):
+        service = self._provoke(
+            make_service, workload_for, serve_harness,
+            lambda _request: {
+                "type": "commit", "id": 5,
+                "skill_flips": [[float("inf"), "__inf", True]],
+            },
+        )
+        assert service.stats.get("commits") == 0  # nothing landed

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 
 import pytest
 
@@ -44,7 +43,6 @@ from repro.service import (
     ExplanationService,
     FaultInjector,
     FaultPlan,
-    FlushBus,
     ResilienceConfig,
     explanation_signature,
     fault_injection,
@@ -132,7 +130,7 @@ def _reference_signatures(service, requests):
     is installed — the parity target every chaos cell is judged against."""
     service.set_full_rebuild(True)
     try:
-        responses = service.explain_many(requests, max_workers=1)
+        responses = service.explain_many(requests)
     finally:
         service.set_full_rebuild(False)
     signatures = {}
@@ -175,16 +173,18 @@ EVICT_SLOW_PLAN = FaultPlan(
     slow_probe_seconds=0.002,
 )
 
+# ``workers`` is passed as ``explain_many(max_workers=...)``, which is
+# accepted and ignored: batches run on the calling thread, so one worker
+# value per (ranker, plan, seed) cell covers the grid.
 QUICK_GRID = [
     ("pagerank", MIXED_PLAN, 11, 1),
     ("pagerank", EVICT_SLOW_PLAN, 12, 4),
 ]
 FULL_GRID = [
-    (ranker, plan, seed, workers)
+    (ranker, plan, seed, 1)
     for ranker in ("pagerank", "hits", "tfidf")
     for plan in (MIXED_PLAN, EVICT_SLOW_PLAN)
     for seed in (11, 12, 13)
-    for workers in (1, 4)
 ]
 
 
@@ -219,36 +219,6 @@ class TestChaosInvariants:
             assert service.stats.get("fallback.full_rebuild") > 0
 
 
-class TestFusedFlushChaos:
-    """Faults around fused probe flushes must stay scoped to their own
-    request.  Budget charges and fault points fire on each participant's
-    thread *before* it joins a bus group, so a faulted participant never
-    contaminates the merged kernel call it would have ridden — its
-    group-mates complete parity-exact, and the faulted request degrades
-    (and is rescued) exactly as it would have flushing alone."""
-
-    @pytest.mark.parametrize("seed", (21, 22))
-    def test_fault_mid_fused_flush_degrades_only_faulted(
-        self, net, embedding, predictor, seed
-    ):
-        service = _service(net, embedding, predictor)
-        # A wide batching window so concurrent shards' flushes actually
-        # merge while the injector is firing.
-        service.registry.flush_bus = FlushBus(window=0.02)
-        requests = _workload(service, net)
-        reference = _reference_signatures(service, requests)
-        injector = FaultInjector(MIXED_PLAN, seed=seed)
-        with fault_injection(injector):
-            responses = service.explain_many(requests, max_workers=4)
-        _assert_chaos_invariants(responses, reference, injector)
-        # Retryable faults are rescued per-request: a fault landing on
-        # one fused-flush participant leaves the whole batch completing.
-        assert all(r.outcome == "ok" for r in responses)
-        # The bus was live during the chaos run (probe flushes routed
-        # through it), not silently bypassed.
-        assert service.stats.get("bus.flushes") > 0
-
-
 class TestTimeoutBound:
     def test_deadline_bound_holds_under_faults(self, net, embedding, predictor):
         """Every request with ``timeout_seconds=t`` answers within
@@ -266,7 +236,7 @@ class TestTimeoutBound:
         )
         injector = FaultInjector(plan, seed=5)
         with fault_injection(injector):
-            responses = service.explain_many(requests, max_workers=1)
+            responses = service.explain_many(requests)
         assert injector.total_fired() > 0
         for response in responses:
             assert response.outcome in OUTCOMES
@@ -296,7 +266,7 @@ class TestTimeoutBound:
         limited = make_requests(
             ("skills",), expert, query, probe_limit=max(4, full // 2)
         )[0]
-        response = service.explain_many([limited], max_workers=1)[0]
+        response = service.explain_many([limited])[0]
         assert response.outcome in ("degraded", "timed_out")
         assert response.degraded_reason == "probe_budget"
         if response.outcome == "degraded":
@@ -314,7 +284,7 @@ class TestAdmissionControl:
         requests = _workload(service, net, kinds=("skills", "query"))
         service.admission.try_acquire("hog")  # saturate the pool
         try:
-            responses = service.explain_many(requests, max_workers=1)
+            responses = service.explain_many(requests)
         finally:
             service.admission.release("hog")
         for response in responses:
@@ -325,7 +295,7 @@ class TestAdmissionControl:
             assert not response.coalesced  # sheds are never coalesced
         # Shedding is stateless back-pressure: the same batch succeeds
         # once the pool frees up.
-        responses = service.explain_many(requests, max_workers=1)
+        responses = service.explain_many(requests)
         assert all(r.outcome == "ok" for r in responses)
 
     def test_session_fair_share_sheds_one_tenant(self, net, embedding, predictor):
@@ -341,7 +311,7 @@ class TestAdmissionControl:
                 make_requests(("skills",), expert, query, session=name)[0]
                 for name in ("alice", "bob")
             )
-            responses = service.explain_many([alice, bob], max_workers=1)
+            responses = service.explain_many([alice, bob])
         finally:
             service.admission.release("alice")
         by_session = {r.request.session: r for r in responses}
@@ -361,7 +331,7 @@ class TestDegradationLadder:
         reference = _reference_signatures(service, requests)
         injector = FaultInjector(FaultPlan(session_error_rate=1.0), seed=0)
         with fault_injection(injector):
-            responses = service.explain_many(requests, max_workers=1)
+            responses = service.explain_many(requests)
         _assert_chaos_invariants(responses, reference, injector)
         assert all(r.outcome == "ok" for r in responses)
         assert all(r.fallback == "full_rebuild" for r in responses if not r.coalesced)
@@ -378,7 +348,7 @@ class TestDegradationLadder:
         expert = int(service.ranker.evaluate(query, net).order[0])
         request = make_requests(("skills",), expert, query)[0]
         with fault_injection(FaultInjector(FaultPlan(session_error_rate=1.0))):
-            response = service.explain_many([request], max_workers=1)[0]
+            response = service.explain_many([request])[0]
         assert response.outcome == "failed"
         assert response.error.kind == "InjectedSessionError"
         assert response.error.retryable
@@ -433,7 +403,7 @@ class TestDegradationLadder:
 
 
 class TestCommitChaos:
-    """Base commits racing live ``explain_many`` shards.
+    """Base commits racing a live ``explain_many`` batch.
 
     The version gate's contract: a commit waits out the in-flight
     requests, lands atomically, and every response is computed — and
@@ -454,12 +424,9 @@ class TestCommitChaos:
         predictor = HeuristicLinkPredictor("common_neighbors").fit(net)
         return net, embedding, predictor
 
-    @pytest.mark.parametrize("workers,fused", ((4, False), (4, True)))
-    def test_commits_racing_shards(self, workers, fused):
+    def test_commits_racing_shards(self):
         net, embedding, predictor = self._private_stack()
         service = _service(net, embedding, predictor, "pagerank")
-        if fused:
-            service.registry.flush_bus = FlushBus(window=0.02)
         requests = _workload(service, net)
         v0 = service.network.version
         snap0 = network_to_dict(net)
@@ -486,7 +453,7 @@ class TestCommitChaos:
         thread = threading.Thread(target=storm, daemon=True)
         thread.start()
         try:
-            responses = service.explain_many(requests, max_workers=workers)
+            responses = service.explain_many(requests)
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -526,57 +493,6 @@ class TestCommitChaos:
                     == reference[response.request]
                 ), f"answer does not match its stamped base v{version}"
 
-    def test_flush_bus_refuses_cross_version_fusion(self):
-        """Two concurrent flushes on the same session and query fuse into
-        one merged kernel call — unless a commit boundary moved the
-        session's base version between them, in which case the bus keys
-        them apart and both flush unfused.  (In the live service the gate
-        makes this window unreachable; the bus still refuses structurally.)"""
-        net = toy_network(n_people=12, seed=5)
-        ranker = PageRankExpertRanker()
-        query = frozenset(sorted(net.skill_universe())[:2])
-
-        def probe():
-            overlay = NetworkOverlay(net)
-            overlay.add_skill(1, "__fuse")
-            return overlay
-
-        def race(bump_version):
-            session = ranker.delta_session(net)
-            bus = FlushBus(window=0.3)
-            barrier = threading.Barrier(2)
-            results = {}
-
-            def runner(tag, leader):
-                with bus.armed():
-                    barrier.wait(timeout=5)
-                    if not leader:
-                        # Let the leader open its group and start waiting
-                        # out the window, then land the "commit".
-                        time.sleep(0.1)
-                        if bump_version:
-                            session.base_version += 1
-                    results[tag] = bus.submit_batch(session, query, [probe()])
-
-            threads = [
-                threading.Thread(target=runner, args=("a", True)),
-                threading.Thread(target=runner, args=("b", False)),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert all(not t.is_alive() for t in threads)
-            assert results["a"] is not None and results["b"] is not None
-            return bus
-
-        fused = race(bump_version=False)
-        assert fused.merged_flushes == 1, "control run did not fuse"
-        assert fused.fused_participants == 2
-        split = race(bump_version=True)
-        assert split.flushes == 2
-        assert split.merged_flushes == 0, "fused across a version boundary"
-
 
 class TestChaosOverTheWire:
     """The chaos grid driven through a live server connection: the same
@@ -585,7 +501,8 @@ class TestChaosOverTheWire:
     The invariants are exactly the in-process grid's — typed outcome
     taxonomy, parity-exact ``ok`` answers against the fault-free
     full-rebuild reference — proving the process boundary neither
-    launders outcomes nor perturbs answers."""
+    launders outcomes nor perturbs answers.  ``workers`` rides the batch
+    frame's ``max_workers`` field, which the server accepts and ignores."""
 
     @pytest.mark.parametrize("seed,workers", ((31, 1), (32, 4)))
     def test_faulted_batch_over_live_connection(
@@ -593,6 +510,7 @@ class TestChaosOverTheWire:
     ):
         import asyncio
 
+        from repro.explain.serialize import response_from_dict
         from repro.serve import ExplanationServer, ServeClient, ServeConfig
 
         service = _service(net, embedding, predictor)
@@ -611,9 +529,13 @@ class TestChaosOverTheWire:
             client = await ServeClient.connect(
                 "127.0.0.1", server.port, session="chaos"
             )
-            responses, summary = await client.explain_many(
-                requests, max_workers=workers
-            )
+            responses = [None] * len(requests)
+            summary = None
+            async for frame in client.explain_stream(requests, max_workers=workers):
+                if frame["type"] == "result":
+                    responses[frame["index"]] = response_from_dict(frame["response"])
+                else:
+                    summary = frame
             await client.close()
             await server.shutdown()
             return responses, summary

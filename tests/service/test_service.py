@@ -9,6 +9,8 @@ mode — across all four rankers and both decision families.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import ExES
@@ -381,7 +383,7 @@ class TestDispatch:
         )
         good = ExplainRequest(kind="query", person=0, query=query)
         bad = ExplainRequest(kind="query", person=0, query=query, team=True)
-        responses = service.explain_many([good, bad, good], max_workers=1)
+        responses = service.explain_many([good, bad, good])
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
         assert responses[1].outcome == "failed"
@@ -398,7 +400,7 @@ class TestDispatch:
             ExplainRequest(kind="skills", person=expert, query=query),
             ExplainRequest(kind="query", person=expert, query=query),
         ]
-        responses = service.explain_many(requests, max_workers=2)
+        responses = service.explain_many(requests)
         assert [r.request for r in responses] == requests
 
     def test_empty_batch(self, service):
@@ -409,7 +411,7 @@ class TestDispatch:
         re-served bit-identically; ``coalesce=False`` recomputes."""
         expert, _ = _subjects(service.ranker, net, query)
         request = ExplainRequest(kind="skills", person=expert, query=query)
-        first, second = service.explain_many([request, request], max_workers=1)
+        first, second = service.explain_many([request, request])
         assert not first.coalesced and second.coalesced
         assert second.explanation is first.explanation
         assert _signature(first) == _signature(second)
@@ -466,9 +468,8 @@ def _parity_requests(ranker, former, net):
 def test_explain_many_parity(
     ranker_name, net, embedding, predictor, gcn_ranker
 ):
-    """Deterministic service mode == per-call facade, bit for bit; the
-    sharded mode == the deterministic mode — for every ranker, over mixed
-    relevance + membership requests."""
+    """``explain_many`` == per-call facade, bit for bit — for every
+    ranker, over mixed relevance + membership requests."""
     ranker = _make_ranker(ranker_name, net, embedding, gcn_ranker)
     former = CoverTeamFormer(ranker)
     requests = _parity_requests(ranker, former, net)
@@ -476,17 +477,36 @@ def test_explain_many_parity(
     facade = _facade(net, ranker, embedding, predictor)
     reference = [_signature(r) for r in _per_call_responses(facade, requests)]
 
-    single = _service(net, ranker, embedding, predictor)
-    got_single = [
-        _signature(r) for r in single.explain_many(requests, max_workers=1)
-    ]
-    assert got_single == reference
+    service = _service(net, ranker, embedding, predictor)
+    got = [_signature(r) for r in service.explain_many(requests)]
+    assert got == reference
 
-    sharded = _service(net, ranker, embedding, predictor)
-    got_sharded = [
-        _signature(r) for r in sharded.explain_many(requests, max_workers=4)
-    ]
-    assert got_sharded == reference
+
+def test_explain_many_runs_on_the_calling_thread(net, embedding, predictor):
+    """``max_workers`` is accepted and ignored: a multi-shard batch gives
+    bit-identical responses for 1, 4 and None workers, and every request
+    is answered on the thread that called ``explain_many``."""
+    ranker = PageRankExpertRanker()
+    former = CoverTeamFormer(ranker)
+    requests = _parity_requests(ranker, former, net)
+    assert len({r.target_key for r in requests}) > 1  # several shards
+    caller = threading.get_ident()
+    signatures = []
+    for max_workers in (1, 4, None):
+        service = _service(net, ranker, embedding, predictor)
+        threads = set()
+        answer_one = service._answer_one
+
+        def spy(request, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return answer_one(request, *args, **kwargs)
+
+        service._answer_one = spy
+        responses = service.explain_many(requests, max_workers=max_workers)
+        assert all(r.ok for r in responses), [r.error for r in responses]
+        assert threads == {caller}, f"max_workers={max_workers} left the thread"
+        signatures.append([_signature(r) for r in responses])
+    assert signatures[0] == signatures[1] == signatures[2]
 
 
 class TestCrossRequestReuse:
@@ -501,7 +521,7 @@ class TestCrossRequestReuse:
             make_requests(("query",), expert, query)
             + make_requests(("query",), nonexpert, query)
         )
-        service.explain_many(requests, max_workers=1)
+        service.explain_many(requests)
         engine = service.engine()
         assert engine.hits + engine.score_hits > 0
 
@@ -522,8 +542,7 @@ class TestCrossRequestReuse:
         team = former.form(query, net, seed_member=expert)
         member = sorted(team.members)[0]
         one.explain_many(
-            make_requests(("cf_skills",), member, query, team=True, seed_member=expert),
-            max_workers=1,
+            make_requests(("cf_skills",), member, query, team=True, seed_member=expert)
         )
         session = former._session_for(net)
         assert len(session._run_cache) >= 1
@@ -566,15 +585,10 @@ class TestWorkloads:
             ExplanationSubjects(query=query, expert=expert, non_expert=nonexpert)
         ]
         requests = search_requests(subjects, kinds=("query", "cf_query"))
-        report = run_workload_experiment(service, requests, max_workers=1)
+        report = run_workload_experiment(service, requests)
         assert report.n_requests == len(requests)
         assert report.n_errors == 0
         assert report.requests_per_second > 0
         assert {row.kind for row in report.rows} == {"query", "cf_query"}
         assert all(row.latency_mean is not None for row in report.rows)
-        # Probe flushes happened and were surfaced; single-thread mode
-        # keeps the flush bus disarmed, so nothing may be bus-merged.
-        flushes = report.fusion["multi_flushes"] + report.fusion["batch_flushes"]
-        assert flushes > 0
-        assert report.fusion["flushed_probes"] >= flushes
-        assert report.fusion["bus_merged_flushes"] == 0
+        assert report.outcomes == {"ok": len(requests)}

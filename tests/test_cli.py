@@ -101,7 +101,6 @@ class TestCommands:
                 "workload",
                 *tiny_args,
                 "--queries", "2",
-                "--workers", "2",
                 "--kinds", "query", "cf_query",
                 "--json", str(out_file),
             ]
