@@ -429,7 +429,7 @@ def run_gcn_batch_row(
     One query, ``n_states`` random overlays: the batched pass flushes each
     ``group`` through ``DeltaSession.scores_batch`` (one stacked
     block-diagonal forward); the per-probe pass scores the same overlays
-    one at a time.  Each pass runs on a *fresh* session so neither is
+    one ``scores_batch`` call each.  Each pass runs on a *fresh* session so neither is
     answered from the other's caches.  Parity to 1e-9 on every probe.
     ``repeats`` takes the best of N timed passes per side, *alternating*
     sides within each repeat — running all per-probe passes first and all
@@ -456,20 +456,23 @@ def run_gcn_batch_row(
     per_probe_s = batched_s = float("inf")
     for _ in range(max(1, repeats)):
         session = ranker.delta_session(net)
-        session.scores(warm_q, warm_ov)
+        session.scores_batch(warm_q, [warm_ov])
         start = time.perf_counter()
-        per_probe = [session.scores(q, ov) for q, ov in states]
+        per_probe = [session.scores_batch(q, [ov])[0][0] for q, ov in states]
         per_probe_s = min(per_probe_s, time.perf_counter() - start)
 
         session = ranker.delta_session(net)
-        session.scores(warm_q, warm_ov)
+        session.scores_batch(warm_q, [warm_ov])
         start = time.perf_counter()
         batched = []
         for i in range(0, len(states), group):
             chunk = states[i : i + group]
             chunk_query = chunk[0][0]
             assert all(q == chunk_query for q, _ in chunk)  # one query per flush
-            batched += session.scores_batch(chunk_query, [ov for _, ov in chunk])
+            batched += [
+                vec
+                for vec, _ in session.scores_batch(chunk_query, [ov for _, ov in chunk])
+            ]
         batched_s = min(batched_s, time.perf_counter() - start)
     assert all(ov._mat is None for _, ov in states)
 
@@ -1102,10 +1105,10 @@ def run_scale_rows(
     (compactness asserted — the build must never densify into per-person
     Python sets), record build time and resident memory, then for each
     ranker score the same edge-flip probe states twice through one delta
-    session — first under a ``localized_scope`` (``scores_localized``,
-    timed cold so it pays its own patch construction), then through the
-    session's global kernels (timed warm, biasing the ratio *against*
-    the localized path).  Parity per state is mode-aware: exact and
+    session's ``scores_batch`` — first with a ``LocalizedSpec`` (timed cold
+    so it pays its own patch construction), then with no spec, through the
+    global kernels (timed warm, biasing the ratio *against* the localized
+    path).  Parity per state is mode-aware: exact and
     global plans to 1e-9, sampled plans within their certified residual
     bound.  ``pagerank_floor_at`` asserts the PageRank localized speedup
     floor at that tier (0 disables — the smoke tiers are too small for
@@ -1175,19 +1178,19 @@ def run_scale_rows(
             # first's solution/patch caches and time a cache lookup, not
             # a kernel.  Each pass pays only the base solve untimed.
             session = ranker.delta_session(net)
-            session.scores(query, warm_ov)
+            session.scores_batch(query, [warm_ov])
             start = time.perf_counter()
             localized = [
-                session.scores_localized(q, ov, spec) for q, ov in states
+                session.scores_batch(q, [ov], spec)[0] for q, ov in states
             ]
             localized_s = time.perf_counter() - start
             for _, plan in localized:
                 spec.record(plan)
 
             session = ranker.delta_session(net)
-            session.scores(query, warm_ov)
+            session.scores_batch(query, [warm_ov])
             start = time.perf_counter()
-            global_scores = [session.scores(q, ov) for q, ov in states]
+            global_scores = [session.scores_batch(q, [ov])[0][0] for q, ov in states]
             global_s = time.perf_counter() - start
             assert all(ov._mat is None for _, ov in states), (
                 f"{name}: scale probes materialized an overlay"

@@ -2,26 +2,20 @@
 
 ExES trains a word-embedding model W on the textual expertise corpus and
 uses it to shortlist the ``t`` skills most similar to a query when searching
-for skill and query counterfactuals (paper §3.3.1–3.3.2).  Two trainers are
-provided behind one :class:`SkillEmbedding` interface:
-
-* :func:`train_ppmi_embedding` — positive PMI co-occurrence matrix factorized
-  with truncated SVD (the fast default; Levy & Goldberg 2014 show SGNS
-  implicitly factorizes this matrix), and
-* :func:`train_sgns_embedding` — skip-gram with negative sampling trained by
-  explicit SGD, matching the paper's Word2Vec [41] choice.
+for skill and query counterfactuals (paper §3.3.1–3.3.2).  The trainer,
+:func:`train_ppmi_embedding`, factorizes the positive PMI co-occurrence
+matrix with truncated SVD behind the :class:`SkillEmbedding` interface
+(Levy & Goldberg 2014 show that skip-gram with negative sampling, the
+paper's Word2Vec [41] choice, implicitly factorizes this matrix).
 """
 
 from repro.embeddings.cooccurrence import CooccurrenceCounts, count_cooccurrences
 from repro.embeddings.similarity import SkillEmbedding
 from repro.embeddings.ppmi import train_ppmi_embedding
-from repro.embeddings.sgns import SgnsConfig, train_sgns_embedding
 
 __all__ = [
     "CooccurrenceCounts",
-    "SgnsConfig",
     "SkillEmbedding",
     "count_cooccurrences",
     "train_ppmi_embedding",
-    "train_sgns_embedding",
 ]

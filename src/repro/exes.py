@@ -170,9 +170,12 @@ class ExES:
         :class:`~repro.team.engine.TeamDeltaSession`, which answers from
         the cached base formation run when the flips provably cannot
         change it and re-forms greedily on the overlay otherwise.  Probe
-        groups are flushed through the ranker's batched delta path
+        groups — and single probes, as batches of one — are flushed
+        through the ranker's batched delta path
         (:meth:`ProbeEngine.probe_batch`): grouped by query, through
-        :meth:`~repro.search.engine.DeltaSession.scores_batch`."""
+        :meth:`~repro.search.engine.DeltaSession.scores_batch`, the
+        session's one scoring entry point (the thread's localized spec,
+        if any, rides along as its ``spec`` argument)."""
         return self._service.engine(team, seed_member)
 
     def factual_explainer(

@@ -28,7 +28,7 @@ injectors) cannot be imported from here without a cycle.  The contract:
 * :func:`localized_scope` — installs a :class:`LocalizedSpec` for the
   current thread: probe scoring runs the sessions' *localized plans*
   (exact k-hop splices where the math allows, bounded-error forward-push
-  PageRank where it doesn't — see ``DeltaSession.scores_localized``) and
+  PageRank where it doesn't — see ``DeltaSession.scores_batch``) and
   the spec accumulates the per-mode plan counts the service stamps onto
   the response.
 * :func:`fault_point` — named no-op hooks in the probe layer.  A
@@ -190,24 +190,22 @@ def delta_bypass() -> Iterator[None]:
 class LocalizedSpec:
     """One request's localized-probe policy plus its plan accounting.
 
-    Installed through :func:`localized_scope`, read by the probe engine and
-    the delta sessions' ``scores_localized`` paths: probes touch only the
-    flips' k-hop cone where the math allows an exact splice, and run the
-    bounded-error forward-push PageRank kernel where it does not.
+    Installed through :func:`localized_scope`, read by the probe engine,
+    which hands it to the delta sessions' ``scores_batch``: probes touch
+    only the flips' k-hop cone where the math allows an exact splice, and
+    run the bounded-error forward-push PageRank kernel where it does not.
+    A probe whose cone outgrows the engine's fixed ceiling (a third of the
+    network) falls back to the exact global kernel (mode ``"global"``).
 
-    * ``epsilon`` — the l1 error allowance for sampled (forward-push)
-      probes; every sampled plan reports a certified ``residual_bound <=
-      epsilon`` and the worst one is surfaced in :meth:`summary`.
-    * ``max_cone_fraction`` — cone-size ceiling as a fraction of the
-      network; a probe whose touched cone exceeds it falls back to the
-      exact global kernel (mode ``"global"``).
+    ``epsilon`` is the l1 error allowance for sampled (forward-push)
+    probes; every sampled plan reports a certified ``residual_bound <=
+    epsilon`` and the worst one is surfaced in :meth:`summary`.
 
     ``record`` is thread-safe, so a spec may be shared across threads.
     """
 
     __slots__ = (
         "epsilon",
-        "max_cone_fraction",
         "exact",
         "sampled",
         "global_fallbacks",
@@ -215,19 +213,10 @@ class LocalizedSpec:
         "_lock",
     )
 
-    def __init__(
-        self,
-        epsilon: float = 1e-6,
-        max_cone_fraction: float = 1 / 3,
-    ) -> None:
+    def __init__(self, epsilon: float = 1e-6) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        if not (0 < max_cone_fraction <= 1):
-            raise ValueError(
-                f"max_cone_fraction must be in (0, 1], got {max_cone_fraction}"
-            )
         self.epsilon = float(epsilon)
-        self.max_cone_fraction = float(max_cone_fraction)
         self.exact = 0
         self.sampled = 0
         self.global_fallbacks = 0

@@ -129,7 +129,7 @@ class ExpertSearchSystem(abc.ABC):
         session = self._session_for(network.base)
         if session is None:
             return None
-        return session.scores(query, network)
+        return session.scores_batch(query, [network])[0][0]
 
     @property
     def name(self) -> str:

@@ -11,21 +11,28 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
   A session caches the base network's derived artifacts once and serves
   every :class:`~repro.graph.overlay.NetworkOverlay` over that base with
   delta patches instead of rebuilds.  Rankers open sessions through
-  :meth:`~repro.search.base.ExpertSearchSystem.delta_session`; dispatch
-  happens inside ``scores`` so overlays are delta-scored wherever they
-  appear — beam search, SHAP value functions, candidate generation, and
-  anything routed through ``ExES.probe_engine``.
+  :meth:`~repro.search.base.ExpertSearchSystem.delta_session`; the
+  ranker's ``scores`` dispatches overlays to the session so they are
+  delta-scored wherever they appear — beam search, SHAP value functions,
+  candidate generation, and anything routed through
+  ``ExES.probe_engine``.  A session has one scoring entry point,
+  :meth:`DeltaSession.scores_batch(query, overlays, spec)
+  <DeltaSession.scores_batch>`, returning ``(scores, LocalizedPlan)``
+  per overlay; ``spec`` is the active localized scope (None outside one),
+  a parameter of that one path rather than a second copy of it.
 
   Per-ranker implementations:
 
   - :class:`GcnDeltaSession` (alias ``ProbeSession``) — cached base feature
     matrix + the GCN propagation operator ``D^-1/2 (A+I) D^-1/2``; a skill
     flip re-derives one feature row, an edge flip re-normalizes through a
-    sparse delta on the cached ``A+I``.
+    sparse delta on the cached ``A+I``; small cones splice the flips'
+    2-hop receptive field, groups share one stacked forward.
   - :class:`PageRankDeltaSession` — cached transition operator (adjacency +
     out-degrees) and, per query, the restart counts and base solution; a
     probe patches the restart vector / degrees in O(Δ) and warm-starts
-    power iteration from the base solution.
+    power iteration from the base solution — or, under a localized
+    scope, runs a certified bounded-error forward push instead.
   - :class:`HitsDeltaSession` — cached root-set indicator and base-set
     support counts per query; skill and edge flips update both in O(Δ),
     and the restricted base-set adjacency is sliced *sparse* from the
@@ -38,15 +45,18 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
   scores to 1e-9 (verified per ranker in ``tests/search/test_engine.py``).
 
 * :class:`ProbeEngine` — cross-explainer memoization of decision probes,
-  keyed on ``(person, query, frozenset(flips))``, plus a second score-level
-  memo keyed on ``(query, flips, base version)``: the ranker's score
-  vector for a probed state is person-independent, so once any explainer
-  scores a ``(query subset, overlay)`` state, every other explainer (or
-  another person's SHAP sweep over the same masks) reuses the vector and
-  pays only the O(n log n) decision, never the forward.  Probe groups
-  flush through :meth:`DeltaSession.scores_batch`, grouped by query; only
-  the GCN overrides it (one stacked forward per group), every other
-  session loops :meth:`DeltaSession.scores`.
+  keyed on ``(person, query, frozenset(flips), epsilon)``, plus a second
+  score-level memo keyed on ``(query, flips, base version, epsilon)``
+  (``epsilon`` is the localized scope's budget, None outside one): the
+  ranker's score vector for a probed state is person-independent, so
+  once any explainer scores a ``(query subset, overlay)`` state, every
+  other explainer (or another person's SHAP sweep over the same masks)
+  reuses the vector and pays only the O(n log n) decision, never the
+  forward.  There is one probe pipeline: :meth:`ProbeEngine.probe` is a
+  :meth:`ProbeEngine.probe_batch` of one, and every miss flushes through
+  :meth:`DeltaSession.scores_batch`, grouped by query; only the GCN
+  overrides it (one stacked forward per group), every other session
+  loops its per-probe ``_score``.
   ``full_rebuild=True`` is the escape hatch: overlays are materialized into
   real networks before probing, restoring the seed code path exactly —
   including seed *behaviour* quirks like the TF-IDF ranker's per-call idf
@@ -63,7 +73,6 @@ probe.
 
 from __future__ import annotations
 
-import abc
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -93,9 +102,10 @@ _BATCH_GROUP = 8  # overlays per batched GCN forward (bounds block size)
 # The PageRank stacked-vs-plain walk threshold is a *backend cost hint*
 # (``NumericBackend.pagerank_stack_min_people`` in ``repro.backend.base``);
 # sessions read it off ``self.backend``.
-# Neighborhood-restricted GCN forwards only pay off while the receptive
-# field stays well below the whole graph; past this fraction the full
-# patched forward is cheaper than the slicing bookkeeping.
+# Localized kernels (neighborhood-restricted GCN forwards, the PageRank
+# forward push) only pay off while their cone stays well below the whole
+# graph; past this fraction the global kernel is cheaper than the slicing
+# bookkeeping (see ``_cone_ceiling``).
 _RESTRICT_MAX_FRACTION = 1 / 3
 # Inside a *batched* flush the alternative to the splice is a stacked
 # forward amortized over the group, which beats the splice's Python
@@ -110,15 +120,15 @@ _BATCH_RESTRICT_MIN_N = 1024
 _LOCALIZED_MAX_SWEEPS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalizedPlan:
-    """How one probe's scores were produced under a localized scope.
+    """How one probe's scores were produced.
 
     * ``mode`` — ``"exact"`` (certified-exact splice: the untouched rows
       provably equal the base values), ``"sampled"`` (bounded-error
-      forward-push with a certified ``residual_bound``), or ``"global"``
-      (the cone exceeded the spec's ceiling, or the session has no
-      localized path — the exact global kernel ran).
+      forward-push with a certified ``residual_bound``; localized scopes
+      only), or ``"global"`` (the exact global kernel ran: the cone
+      exceeded :func:`_cone_ceiling`, or no localized kernel applied).
     * ``k_hop`` — the cone radius the plan touched (0 = flipped entries
       only, 2 = the GCN receptive field; -1 when no fixed radius applies:
       global fallbacks and push cones, whose reach is residual-driven).
@@ -209,6 +219,12 @@ class _LruCache:
             self._data.clear()
 
 
+def _cone_ceiling(n: int) -> int:
+    """Largest touched cone a localized kernel (the GCN's 2-hop splice,
+    PageRank's forward push) serves before the global kernel takes over."""
+    return max(_BATCH_GROUP, int(n * _RESTRICT_MAX_FRACTION))
+
+
 def _normalize(a_hat: sp.csr_matrix, deg: np.ndarray) -> sp.csr_matrix:
     """``D^-1/2 (A+I) D^-1/2`` — same formula (and 1e-12 floor) as
     :meth:`CollaborationNetwork.normalized_adjacency`, applied by scaling
@@ -269,15 +285,15 @@ def _committed_csr(
     return patched
 
 
-class DeltaSession(abc.ABC):
+class DeltaSession:
     """Per-(ranker, frozen base network) delta-scoring cache.
 
     Opened once per base-network version through the ranker's
     :meth:`~repro.search.base.ExpertSearchSystem.delta_session` factory,
-    then serves every overlay over that base.  ``scores(query, overlay)``
-    must equal the ranker's from-scratch ``full_rebuild`` scores on the
-    same overlay to 1e-9 — the parity contract every implementation is
-    tested against.
+    then serves every overlay over that base through
+    :meth:`scores_batch`, whose exact and global plans must equal the
+    ranker's from-scratch ``full_rebuild`` scores on the same overlay to
+    1e-9 — the parity contract every implementation is tested against.
     """
 
     #: Cache attributes :meth:`warm_state` snapshots — the per-class
@@ -292,6 +308,15 @@ class DeltaSession(abc.ABC):
         # cost hints) stay stable for its whole lifetime even if the
         # process-wide backend is swapped mid-run.
         self.backend = get_backend()
+        # Commits flip skills and edges, never people, so the two plans
+        # with no per-probe fields are shared by every probe of the session.
+        n = base.n_people
+        self._untouched_plan = LocalizedPlan(
+            mode="exact", k_hop=0, cone_size=0, n_people=n
+        )
+        self._global_plan = LocalizedPlan(
+            mode="global", k_hop=-1, cone_size=n, n_people=n
+        )
 
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Is this session still usable for ``base``?  False once the base
@@ -351,36 +376,38 @@ class DeltaSession(abc.ABC):
             for key, value in state.get(name, []):
                 cache.put(key, value)
 
-    @abc.abstractmethod
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        """Scores for the overlaid network, patched from the base caches
-        in O(Δ) — never through ``overlay.materialize()``."""
-
     def scores_batch(
-        self, query: Query, overlays: Iterable[NetworkOverlay]
-    ) -> List[np.ndarray]:
-        """Scores for a *group* of overlays over the same base and query.
+        self,
+        query: Query,
+        overlays: Iterable[NetworkOverlay],
+        spec: Optional[LocalizedSpec] = None,
+    ) -> List[Tuple[np.ndarray, LocalizedPlan]]:
+        """``(scores, plan)`` for each overlay of a group over the same base
+        and query — the one scoring entry point of every session.
 
-        The default just loops :meth:`scores`; only the GCN overrides it
-        (its stacked multi-probe forward), and
-        :meth:`ProbeEngine.probe_batch` flushes probe groups through it."""
-        return [self.scores(query, overlay) for overlay in overlays]
+        Scores are patched from the base caches in O(Δ), never through
+        ``overlay.materialize()``.  ``spec`` is the active localized scope
+        (None outside one): an ``"exact"`` or ``"global"`` plan's vector
+        equals the ranker's full-rebuild scores to 1e-9, a ``"sampled"``
+        plan's vector is within its certified ``residual_bound`` (l1) of
+        them.  The default loops :meth:`_score`; only the GCN overrides it
+        (its stacked multi-probe forward)."""
+        return [self._score(query, overlay, spec) for overlay in overlays]
 
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
+    def _score(
+        self,
+        query: Query,
+        overlay: NetworkOverlay,
+        spec: Optional[LocalizedSpec],
     ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """``(scores, plan)`` for one probe under a localized scope.
+        """``(scores, plan)`` for one probe — what the default
+        :meth:`scores_batch` loops."""
+        raise NotImplementedError
 
-        Implementations must keep the *scores* contract intact: an
-        ``"exact"`` plan's vector equals :meth:`scores` to the 1e-9 parity
-        band, a ``"sampled"`` plan's vector is within its certified
-        ``residual_bound`` (l1) of it.  The default has no localized path
-        and answers with the global kernel."""
-        return self.scores(query, overlay), self._global_plan()
-
-    def _global_plan(self) -> LocalizedPlan:
-        n = self.base.n_people
-        return LocalizedPlan(mode="global", k_hop=-1, cone_size=n, n_people=n)
+    def _exact_plan(self, k_hop: int, cone_size: int) -> LocalizedPlan:
+        return LocalizedPlan(
+            mode="exact", k_hop=k_hop, cone_size=cone_size, n_people=self.base.n_people
+        )
 
 
 class GcnDeltaSession(DeltaSession):
@@ -502,7 +529,7 @@ class GcnDeltaSession(DeltaSession):
             ball2 |= base.neighbors(p)
         rows1 = np.asarray(sorted(ball1), dtype=np.int64)
         rows2 = np.asarray(sorted(ball2), dtype=np.int64)
-        drop_all = len(ball2) > max(_BATCH_GROUP, int(n * _RESTRICT_MAX_FRACTION))
+        drop_all = len(ball2) > _cone_ceiling(n)
         scorer = self.ranker._scorer
         be = self.backend
         adj = self._adj_norm
@@ -540,121 +567,77 @@ class GcnDeltaSession(DeltaSession):
     # ------------------------------------------------------------------
     # probing
     # ------------------------------------------------------------------
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        if not query:
-            # The ranker's plain path short-circuits empty queries to zero
-            # scores before any forward; direct session consumers (batched
-            # flushes, localized probes) must see the same semantics.
-            return np.zeros(self.base.n_people)
-        if not overlay.skill_flips() and not overlay.edge_flips():
-            return self._base_forward(query)[2].copy()
-        restricted = self._try_restricted(query, overlay)
-        if restricted is not None:
-            return restricted
-        self.full_forwards += 1
-        feats, adj_norm = self.probe_inputs(query, overlay)
-        return self.backend.gcn_forward(
-            self.ranker._scorer, feats, adj_norm
-        ).copy()
-
     def scores_batch(
-        self, query: Query, overlays: Iterable[NetworkOverlay]
-    ) -> List[np.ndarray]:
-        """Batched multi-probe forward: the probe feature matrices of the
-        group are stacked into one ``(k·n, d)`` matrix, their (patched)
-        propagation operators into one block-diagonal ``(k·n, k·n)``
-        sparse operator, and a single :class:`_GcnScorer` forward scores
-        every probe at once — amortizing the per-call dense/sparse kernel
-        overhead that dominates per-probe forwards."""
+        self,
+        query: Query,
+        overlays: Iterable[NetworkOverlay],
+        spec: Optional[LocalizedSpec] = None,
+    ) -> List[Tuple[np.ndarray, LocalizedPlan]]:
+        """Every flipped probe takes one of three kernels, by one rule:
+
+        * the certified-exact 2-hop splice (:meth:`_restricted_scores`:
+          a GCN output row reads features within 2 hops and adjacency
+          within 1, so only the flips' receptive field is recomputed)
+          whenever the cone fits :func:`_cone_ceiling` — unless the probe
+          would otherwise join a stacked forward on a graph below
+          :data:`_BATCH_RESTRICT_MIN_N`, where the amortized stack beats
+          the splice's Python bookkeeping;
+        * the stacked forward: outside a localized scope, two or more
+          unspliced probes share one block-diagonal ``(k·n, k·n)``
+          propagation over their stacked feature matrices;
+        * otherwise one full patched forward per probe (plan
+          ``"global"``).
+        """
         overlays = list(overlays)
-        if len(overlays) <= 1 or not query:
-            return [self.scores(query, ov) for ov in overlays]
-        # On large graphs, overlays whose receptive field qualifies for
-        # the restricted splice are cheaper than their share of a stacked
-        # forward (the splice touches O(|ball|) rows, the stack k·n); on
-        # small graphs the amortized stack wins, so everything with flips
-        # is batched into one block-diagonal forward.
-        splice_ok = self.base.n_people >= _BATCH_RESTRICT_MIN_N
-        results: List[Optional[np.ndarray]] = [None] * len(overlays)
-        stacked_idx: List[int] = []
+        n = self.base.n_people
+        results: List = [None] * len(overlays)
+        flipped: List[int] = []
         for i, overlay in enumerate(overlays):
-            if not overlay.skill_flips() and not overlay.edge_flips():
-                results[i] = self._base_forward(query)[2].copy()
-                continue
-            if splice_ok:
-                restricted = self._try_restricted(query, overlay)
-                if restricted is not None:
-                    results[i] = restricted
+            if not query:
+                # The ranker's plain path short-circuits empty queries to
+                # zero scores before any forward.
+                results[i] = (np.zeros(n), self._untouched_plan)
+            elif not overlay.skill_flips() and not overlay.edge_flips():
+                results[i] = (self._base_forward(query)[2].copy(), self._untouched_plan)
+            else:
+                flipped.append(i)
+        stack = spec is None and len(flipped) > 1
+        splice = not stack or n >= _BATCH_RESTRICT_MIN_N
+        full: List[int] = []
+        for i in flipped:
+            overlay = overlays[i]
+            if splice:
+                seeds = {p for (p, _) in overlay.skill_flips()}
+                for u, v in overlay.edge_flips():
+                    seeds.add(u)
+                    seeds.add(v)
+                ball1, ball2 = self._receptive_field(overlay, seeds)
+                if len(ball2) <= _cone_ceiling(n):
+                    self.restricted_probes += 1
+                    results[i] = (
+                        self._restricted_scores(query, overlay, ball1, ball2),
+                        self._exact_plan(2, len(ball2)),
+                    )
                     continue
-            stacked_idx.append(i)
-        if len(stacked_idx) == 1:
-            i = stacked_idx[0]
-            results[i] = self.scores(query, overlays[i])
-        elif stacked_idx:
-            blocks = [self.probe_inputs(query, overlays[i]) for i in stacked_idx]
+            full.append(i)
+        self.full_forwards += len(full)
+        if stack and len(full) > 1:
+            blocks = [self.probe_inputs(query, overlays[i]) for i in full]
             scored = self.backend.gcn_forward_blocks(
                 self.ranker._scorer,
                 [feats for feats, _ in blocks],
                 [a.tocsr() for _, a in blocks],
             )
-            for i, vec in zip(stacked_idx, scored):
-                results[i] = vec
-            self.full_forwards += len(stacked_idx)
-        return results  # type: ignore[return-value]
-
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """Certified-exact 2-hop splice: a GCN output row reads features
-        within 2 hops and adjacency within 1, so recomputing only the
-        flips' 2-hop receptive field (``_restricted_scores``) is exact —
-        the spec's cone ceiling replaces the engine-side
-        ``_RESTRICT_MAX_FRACTION`` heuristic, and oversize cones fall back
-        to the exact global forward."""
-        n = self.base.n_people
-        if not query:
-            return np.zeros(n), LocalizedPlan(
-                mode="exact", k_hop=0, cone_size=0, n_people=n
-            )
-        if not overlay.skill_flips() and not overlay.edge_flips():
-            return self._base_forward(query)[2].copy(), LocalizedPlan(
-                mode="exact", k_hop=0, cone_size=0, n_people=n
-            )
-        seeds = {p for (p, _) in overlay.skill_flips()}
-        for u, v in overlay.edge_flips():
-            seeds.add(u)
-            seeds.add(v)
-        ball1, ball2 = self._receptive_field(overlay, seeds)
-        if len(ball2) <= max(_BATCH_GROUP, int(n * spec.max_cone_fraction)):
-            self.restricted_probes += 1
-            return (
-                self._restricted_scores(query, overlay, ball1, ball2),
-                LocalizedPlan(
-                    mode="exact", k_hop=2, cone_size=len(ball2), n_people=n
-                ),
-            )
-        self.full_forwards += 1
-        feats, adj_norm = self.probe_inputs(query, overlay)
-        scores = self.backend.gcn_forward(
-            self.ranker._scorer, feats, adj_norm
-        ).copy()
-        return scores, self._global_plan()
-
-    def _try_restricted(
-        self, query: Query, overlay: NetworkOverlay
-    ) -> Optional[np.ndarray]:
-        """The neighborhood-restricted splice for ``overlay``, or None when
-        its receptive field is too large for the splice to pay off."""
-        seeds = {p for (p, _) in overlay.skill_flips()}
-        for u, v in overlay.edge_flips():
-            seeds.add(u)
-            seeds.add(v)
-        ball1, ball2 = self._receptive_field(overlay, seeds)
-        n = self.base.n_people
-        if len(ball2) > max(_BATCH_GROUP, int(n * _RESTRICT_MAX_FRACTION)):
-            return None
-        self.restricted_probes += 1
-        return self._restricted_scores(query, overlay, ball1, ball2)
+        else:
+            scored = [
+                self.backend.gcn_forward(
+                    self.ranker._scorer, *self.probe_inputs(query, overlays[i])
+                ).copy()
+                for i in full
+            ]
+        for i, vec in zip(full, scored):
+            results[i] = (vec, self._global_plan)
+        return results
 
     # ------------------------------------------------------------------
     # neighborhood-restricted forwards
@@ -1076,21 +1059,37 @@ class PageRankDeltaSession(DeltaSession):
         )
         return solutions[:, 0].copy(), converged[0]
 
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        if self.base.n_people == 0:
-            return np.zeros(0)
+    def _score(
+        self,
+        query: Query,
+        overlay: NetworkOverlay,
+        spec: Optional[LocalizedSpec],
+    ) -> Tuple[np.ndarray, LocalizedPlan]:
+        """The warm-started global walk, or — under a localized scope —
+        the bounded-error forward push (:meth:`_push`) when the cached base
+        solution is a converged fixed point and the push's solve set fits
+        :func:`_cone_ceiling`."""
+        n = self.base.n_people
+        if n == 0:
+            return np.zeros(0), self._untouched_plan
         ekey = _edge_key(overlay.edge_flips())
         base_counts, base_solution, base_converged = self._base_state(query)
         counts, relevant = self._probe_counts(query, overlay, base_counts)
         restart = self._restart_from_counts(counts, len(query))
         if restart is None:
-            return np.zeros(self.base.n_people)
+            return np.zeros(n), self._untouched_plan
         if not ekey and not relevant and base_solution is not None:
-            return base_solution.copy()
+            return base_solution.copy(), self._untouched_plan
+        if spec is not None and (base_solution is None or base_converged):
+            pushed = self._push(
+                query, ekey, relevant, base_counts, base_solution, restart, spec
+            )
+            if pushed is not None:
+                return pushed
         skey = (ekey, len(query), counts.tobytes())
         cached = self._solution_cache.get(skey)
         if cached is not None:
-            return cached.copy()
+            return cached.copy(), self._global_plan
         warm = base_solution if base_converged else None
         solution, converged = self._walk(restart, warm, ekey)
         # Only converged iterates are state functions of (restart,
@@ -1098,39 +1097,34 @@ class PageRankDeltaSession(DeltaSession):
         # replayed for a probe that would have started elsewhere.
         if converged:
             self._solution_cache.put(skey, solution)
-            return solution.copy()
-        return solution
+            return solution.copy(), self._global_plan
+        return solution, self._global_plan
 
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """Bounded-error forward push instead of a full power iteration.
+    def _push(
+        self,
+        query: Query,
+        ekey: FrozenSet,
+        relevant: bool,
+        base_counts: np.ndarray,
+        base_solution: Optional[np.ndarray],
+        restart: np.ndarray,
+        spec: LocalizedSpec,
+    ) -> Optional[Tuple[np.ndarray, LocalizedPlan]]:
+        """Bounded-error forward push instead of a full power iteration,
+        or None when the push's solve set outgrows its cap.
 
         The probe solution decomposes as ``p' = p0 + delta`` where the
         correction solves ``delta = s + damping * M' @ delta`` with the
         O(Δ)-sparse seed ``s = (1-d)(r' - r0) + d[(A'ᵀD'⁻¹ - A0ᵀD0⁻¹)p0
         + dang'(p0)·r' - dang0(p0)·r0]`` — the derivation uses only
         ``p0 = (1-d)r0 + d·M0·p0``, i.e. that the cached base solution is
-        a fixed point, so a capped (non-converged) base solve falls back
-        to the global kernel.  The backend's ``ppr_delta_push`` runs
-        residual sweeps over the seed's cone and certifies
+        a fixed point, so a capped (non-converged) base solve never comes
+        here.  The backend's ``ppr_delta_push`` runs residual sweeps over
+        the seed's cone and certifies
         ``||delta_exact - delta||_1 <= residual_l1 / (1-d) <= epsilon``;
         the reported ``residual_bound`` adds 1e-9 slack for the base
         iterate's own convergence-tolerance defect."""
         n = self.base.n_people
-        exact0 = LocalizedPlan(mode="exact", k_hop=0, cone_size=0, n_people=n)
-        if n == 0:
-            return np.zeros(0), exact0
-        ekey = _edge_key(overlay.edge_flips())
-        base_counts, base_solution, base_converged = self._base_state(query)
-        counts, relevant = self._probe_counts(query, overlay, base_counts)
-        restart = self._restart_from_counts(counts, len(query))
-        if restart is None:
-            return np.zeros(n), exact0
-        if not ekey and not relevant and base_solution is not None:
-            return base_solution.copy(), exact0
-        if base_solution is not None and not base_converged:
-            return self.scores(query, overlay), self._global_plan()
         d = self.ranker.damping
         r0 = self._restart_from_counts(base_counts, len(query))
         p0 = base_solution if base_solution is not None else np.zeros(n)
@@ -1189,12 +1183,11 @@ class PageRankDeltaSession(DeltaSession):
         if support.size == 0:
             # The probe provably equals the base fixed point (e.g. a
             # relevant add and remove that cancel in the restart).
-            return p0.copy(), exact0
+            return p0.copy(), self._untouched_plan
         # No precheck on support size: the seed may be wide but thin (a
         # flipped hub's whole row at ~p0[u]/deg per entry) and the kernel
         # caps the *solve set* — the nodes it actually admits — not the
         # boundary residual it leaves in place.
-        max_nodes = max(_BATCH_GROUP, int(n * spec.max_cone_fraction))
         r_idx = np.flatnonzero(restart)
         pushed = self.backend.ppr_delta_push(
             support,
@@ -1206,11 +1199,11 @@ class PageRankDeltaSession(DeltaSession):
             damping=d,
             epsilon=spec.epsilon,
             max_sweeps=_LOCALIZED_MAX_SWEEPS,
-            max_nodes=max_nodes,
+            max_nodes=_cone_ceiling(n),
             row_overrides=overrides,
         )
         if pushed is None:
-            return self.scores(query, overlay), self._global_plan()
+            return None
         delta, res_l1, cone = pushed
         return p0 + delta, LocalizedPlan(
             mode="sampled",
@@ -1372,15 +1365,20 @@ class HitsDeltaSession(DeltaSession):
         return support
 
     def _score(
-        self, query: Query, overlay: NetworkOverlay
-    ) -> Tuple[np.ndarray, Optional[int]]:
-        """(scores, base-set size) for one probe — the single scoring path
-        behind :meth:`scores` and :meth:`scores_localized`.  The size is
-        None when the probe short-circuits (empty network or query)."""
+        self,
+        query: Query,
+        overlay: NetworkOverlay,
+        spec: Optional[LocalizedSpec],
+    ) -> Tuple[np.ndarray, LocalizedPlan]:
+        """HITS is localized *by construction*: root/support updates are
+        O(Δ·deg) patches on cached per-query state, and the authority
+        iteration only ever touches the base set (root ∪ its 1-hop
+        neighborhood) — so every probe is certified exact, with the
+        base-set size as its cone."""
         n = self.base.n_people
         out = np.zeros(n)
         if n == 0 or not query:
-            return out, None
+            return out, self._untouched_plan
         _, support, _ = self._base_state(query)
         ind, match_counts, delta_ind = self._probe_state(query, overlay)
         edge_flips = overlay.edge_flips()
@@ -1390,24 +1388,7 @@ class HitsDeltaSession(DeltaSession):
             authority = self._authority_for(edge_flips, members)
             match = match_counts[members] / float(len(query))
             out[members] = authority + self.ranker.match_bonus * match
-        return out, int(members.size)
-
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        return self._score(query, overlay)[0]
-
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """HITS is localized *by construction*: root/support updates are
-        O(Δ·deg) patches on cached per-query state, and the authority
-        iteration only ever touches the base set (root ∪ its 1-hop
-        neighborhood) — so the plan is the exact :meth:`scores` path with
-        the base-set size surfaced as the cone."""
-        out, cone = self._score(query, overlay)
-        n = self.base.n_people
-        if cone is None:
-            return out, LocalizedPlan(mode="exact", k_hop=0, cone_size=0, n_people=n)
-        return out, LocalizedPlan(mode="exact", k_hop=1, cone_size=cone, n_people=n)
+        return out, self._exact_plan(1, int(members.size))
 
 
 class TfidfDeltaSession(DeltaSession):
@@ -1554,14 +1535,19 @@ class TfidfDeltaSession(DeltaSession):
         return hit
 
     def _score(
-        self, query: Query, overlay: NetworkOverlay
-    ) -> Tuple[np.ndarray, int]:
-        """(scores, flipped-person count) for one probe — the single
-        scoring path behind :meth:`scores` and :meth:`scores_localized`."""
+        self,
+        query: Query,
+        overlay: NetworkOverlay,
+        spec: Optional[LocalizedSpec],
+    ) -> Tuple[np.ndarray, LocalizedPlan]:
+        """TF-IDF rows are per-person, so every probe is certified exact —
+        the cone is exactly the flipped people (edge flips carry no
+        document signal at all)."""
         touched = {p for (p, _) in overlay.skill_flips()}
+        plan = self._exact_plan(0, len(touched)) if touched else self._untouched_plan
         q_vec, base_scores = self._base_state(query)
         if not np.any(q_vec):
-            return np.zeros(self.base.n_people), len(touched)
+            return np.zeros(self.base.n_people), plan
         out = base_scores.copy()
         for p in touched:
             cols, vals = self._patched_row(overlay.skills(p))
@@ -1569,20 +1555,7 @@ class TfidfDeltaSession(DeltaSession):
             # is bitwise identical to the CSR matvec behind
             # ``base_scores``, so patched and untouched rows agree exactly.
             out[p] = self.backend.row_dot(vals, q_vec[cols]) if cols.size else 0.0
-        return out, len(touched)
-
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        return self._score(query, overlay)[0]
-
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """TF-IDF rows are per-person, so :meth:`scores` is already the
-        certified-exact localized plan — the cone is exactly the flipped
-        people (edge flips carry no document signal at all)."""
-        out, cone = self._score(query, overlay)
-        n = self.base.n_people
-        return out, LocalizedPlan(mode="exact", k_hop=0, cone_size=cone, n_people=n)
+        return out, plan
 
 
 def _fault_key(query: Query, flips) -> Tuple:
@@ -1593,7 +1566,7 @@ def _fault_key(query: Query, flips) -> Tuple:
 
 
 def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
-    """Carry a score memo's ``(query, flips, version)`` entries across a
+    """Carry a score memo's ``(query, flips, version, epsilon)`` entries across a
     committed delta: entries whose query ``survives(delta, query)`` move
     to the new version, everything else is dropped.  Returns
     ``(retained, dropped)``.
@@ -1603,9 +1576,7 @@ def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
     through several engines' rebases is effectively processed once."""
     retained = dropped = 0
     for key in memo.keys():
-        # Keys are (query, flips, version) — localized entries append a
-        # ("localized", epsilon) suffix that survives re-keying verbatim.
-        query, flips, version = key[0], key[1], key[2]
+        query, flips, version, eps = key
         if version == delta.new_version:
             continue
         value = memo.get(key)
@@ -1613,7 +1584,7 @@ def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
         if value is None:
             continue  # evicted concurrently
         if version == delta.old_version and survives(delta, query):
-            memo.put((query, flips, delta.new_version) + tuple(key[3:]), value)
+            memo.put((query, flips, delta.new_version, eps), value)
             retained += 1
         else:
             dropped += 1
@@ -1680,22 +1651,9 @@ class ProbeEngine:
         query: Iterable[str],
         network: Optional[CollaborationNetwork] = None,
     ) -> Tuple[bool, float]:
-        """(decision, ordering key) for one probe state, memoized."""
-        query = as_query(query)
-        network = self.base if network is None else network
-        key = self._key(person, query, network)
-        if key is not None:
-            cached = self._memo.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            scored = self._session_scores(query, network)
-            if scored is not None:
-                scores, from_memo = scored
-                return self._decide_scored(
-                    person, query, network, scores, key, from_memo=from_memo
-                )
-        return self._probe_uncached(person, query, network, key)
+        """(decision, ordering key) for one probe state, memoized — a
+        :meth:`probe_batch` of one."""
+        return self.probe_batch([(person, query, network)])[0]
 
     def _probe_uncached(
         self, person: int, query: Query, network, key: Optional[Tuple]
@@ -1733,144 +1691,99 @@ class ProbeEngine:
             return self._empty_overlay
         return None
 
-    def _session_scores(
-        self, query: Query, network
-    ) -> Optional[Tuple[np.ndarray, bool]]:
-        """(score vector, served-from-memo?) for one probe state, through
-        the two-level memo: (query, flips) score-memo hit first, the
-        ranker's delta session on a miss.  None when the state must go
-        through the plain ``decide_with_order`` path."""
-        if self.full_rebuild:
-            return None
-        overlay = self._overlay_for(network)
-        if overlay is None:
-            return None
-        spec = active_localized()
-        if spec is not None:
-            # Localized vectors live under their own memo keys (suffixed
-            # with the scope's epsilon): a sampled vector is only valid
-            # within its certified bound, so it must never serve an
-            # exact-mode probe — and vice versa, exact vectors computed
-            # outside the scope are not re-stamped with plan accounting.
-            skey = (
-                query,
-                overlay.flips(),
-                self.base_version,
-                "localized",
-                spec.epsilon,
-            )
-            cached = self._score_memo.get(skey)
-            if cached is not None:
-                scores, plan = cached
-                spec.record(plan)
-                return scores, True
-            session = self._batch_session()
-            if session is None:
-                return None
-            check_budget(1)
-            fault_point(
-                "session.scores",
-                key=_fault_key(query, overlay.flips()),
-                engine=self,
-            )
-            scores, plan = session.scores_localized(query, overlay, spec)
-            spec.record(plan)
-            self._score_memo.put(skey, (scores, plan))
-            return scores, False
-        skey = (query, overlay.flips(), self.base_version)
-        cached = self._score_memo.get(skey)
-        if cached is not None:
-            return cached, True
-        session = self._batch_session()
-        if session is None:
-            return None
-        check_budget(1)
-        fault_point(
-            "session.scores", key=_fault_key(query, overlay.flips()), engine=self
-        )
-        scores = session.scores(query, overlay)
-        self._score_memo.put(skey, scores)
-        return scores, False
-
     def probe_batch(
         self, states: Iterable[Tuple[int, Iterable[str], Optional[CollaborationNetwork]]]
     ) -> List[Tuple[bool, float]]:
         """Probe many ``(person, query, network)`` states at once.
 
         Memo hits (decision-level, then score-level) are answered first.
-        The remaining states are grouped by query and flushed through
-        :meth:`DeltaSession.scores_batch` in :data:`_BATCH_GROUP`-sized
-        chunks — for the GCN one stacked multi-probe forward per chunk.
-        Each scored vector is decided via
+        The remaining states are deduplicated by score key — a
+        ``(query, flips)`` state repeated within the batch is scored once
+        — grouped by query and flushed through
+        :meth:`DeltaSession.scores_batch` with the thread's active
+        localized spec, in :data:`_BATCH_GROUP`-sized chunks (for the GCN
+        one stacked multi-probe forward per chunk).  Each scored vector is
+        decided via
         :meth:`~repro.explain.targets.DecisionTarget.decide_with_order_scored`
         without a second scoring pass and lands in the score memo for
-        later probes.  States the batch path cannot serve (foreign
-        networks, ``full_rebuild``, rankers without a session) fall back
-        to :meth:`probe` semantics one by one.
+        later probes.  A repeat answers exactly as a later sequential
+        probe would: from the decision memo for the same person, from the
+        shared vector (a ``score_hits`` answer) for another.  States the
+        session cannot serve (foreign networks, ``full_rebuild``, rankers
+        without a session) go through the plain ``decide_with_order``
+        path one by one.
+
+        Memo keys are ``(person, query, flips, epsilon)`` for decisions
+        and ``(query, flips, base version, epsilon)`` for score vectors,
+        with ``epsilon`` the localized scope's allowance (None outside a
+        scope): a sampled vector is only valid within its certified bound,
+        so localized and exact-mode probes never share memo slots.  Plan
+        accounting (``spec.record``) happens on every localized score and
+        every localized score-memo hit.
         """
-        resolved = []
-        for person, query, network in states:
+        self._sync_base()
+        spec = active_localized()
+        eps = None if spec is None else spec.epsilon
+        # Resolved on the first decision-memo miss: an all-hit batch never
+        # pays the session lookup.
+        session = resolved = None
+        results: List[Optional[Tuple[bool, float]]] = []
+        # query -> score key -> [(index, person, network, decision key, overlay)]
+        pending: Dict[Query, Dict[Tuple, List[Tuple]]] = {}
+        for i, (person, query, network) in enumerate(states):
             query = as_query(query)
-            resolved.append(
-                (person, query, self.base if network is None else network)
-            )
-        if active_localized() is not None:
-            # Localized plans are per-(query, overlay) cones; the stacked
-            # flush kernel is global by construction, so the scope serves
-            # states sequentially — each through the localized memo keys
-            # and plan accounting.
-            return [
-                self.probe(person, query, network)
-                for person, query, network in resolved
-            ]
-        results: List[Optional[Tuple[bool, float]]] = [None] * len(resolved)
-        session = None if self.full_rebuild else self._batch_session()
-        # query -> [(index, person, network, memo key)]
-        by_query: Dict[Query, List[Tuple[int, int, CollaborationNetwork, Tuple]]] = {}
-        for i, (person, query, network) in enumerate(resolved):
-            key = self._key(person, query, network)
+            network = self.base if network is None else network
+            results.append(None)
+            key = self._key(person, query, network, eps)
             if key is not None:
                 cached = self._memo.get(key)
                 if cached is not None:
                     self.hits += 1
                     results[i] = cached
                     continue
-            overlay = self._overlay_for(network) if session is not None else None
+            if resolved is None:
+                session, resolved = self._batch_session(), True
+            overlay = None if session is None else self._overlay_for(network)
             if overlay is None:
                 results[i] = self._probe_uncached(person, query, network, key)
                 continue
+            skey = (query, overlay.flips(), self.base_version, eps)
             if key is not None:
-                svec = self._score_memo.get(
-                    (query, overlay.flips(), self.base_version)
-                )
-                if svec is not None:
+                cached = self._score_memo.get(skey)
+                if cached is not None:
                     results[i] = self._decide_scored(
-                        person, query, network, svec, key, from_memo=True
+                        person, query, network, cached, key, spec, from_memo=True
                     )
                     continue
-            by_query.setdefault(query, []).append((i, person, network, key))
+            pending.setdefault(query, {}).setdefault(skey, []).append(
+                (i, person, network, key, overlay)
+            )
 
-        for query, items in by_query.items():
-            for start in range(0, len(items), _BATCH_GROUP):
-                chunk = items[start : start + _BATCH_GROUP]
+        for query, by_state in pending.items():
+            groups = list(by_state.items())
+            for start in range(0, len(groups), _BATCH_GROUP):
+                chunk = groups[start : start + _BATCH_GROUP]
                 check_budget(len(chunk))
-                overlays = [self._overlay_for(net) for (_, _, net, _) in chunk]
+                overlays = [items[0][4] for _, items in chunk]
                 fault_point(
                     "session.scores",
                     key=_fault_key(query, [f for ov in overlays for f in ov.flips()]),
                     engine=self,
                 )
-                score_list = session.scores_batch(query, overlays)
-                for (i, person, network, key), overlay, scores in zip(
-                    chunk, overlays, score_list
-                ):
+                scored = session.scores_batch(query, overlays, spec)
+                for (skey, items), entry in zip(chunk, scored):
                     if self.memoize:
-                        self._score_memo.put(
-                            (query, overlay.flips(), self.base_version), scores
-                        )
-                    results[i] = self._decide_scored(
-                        person, query, network, scores, key
-                    )
+                        self._score_memo.put(skey, entry)
+                    for j, (i, person, network, key, _) in enumerate(items):
+                        cached = self._memo.get(key) if j and key is not None else None
+                        if cached is not None:
+                            self.hits += 1
+                            results[i] = cached
+                        else:
+                            results[i] = self._decide_scored(
+                                person, query, network, entry, key, spec,
+                                from_memo=j > 0,
+                            )
         return results  # type: ignore[return-value]
 
     def _decide_scored(
@@ -1878,15 +1791,21 @@ class ProbeEngine:
         person: int,
         query: Query,
         network,
-        scores: np.ndarray,
+        entry: Tuple[np.ndarray, LocalizedPlan],
         key,
+        spec: Optional[LocalizedSpec],
         from_memo: bool = False,
     ) -> Tuple[bool, float]:
-        """Decide one probe from an already-computed score vector and
-        record it in the decision memo.  ``from_memo`` keeps the counters
-        honest: a decision derived from a memoized score vector costs no
-        ranker evaluation, so it counts as a ``score_hits`` answer, not a
-        miss — ``n_probes``/``misses`` stay "unique system evaluations"."""
+        """Decide one probe from an already-computed ``(scores, plan)``
+        entry, account the plan to the localized ``spec`` (if any) and
+        record the decision in the decision memo.  ``from_memo`` keeps the
+        counters honest: a decision derived from a memoized score vector
+        costs no ranker evaluation, so it counts as a ``score_hits``
+        answer, not a miss — ``n_probes``/``misses`` stay "unique system
+        evaluations"."""
+        scores, plan = entry
+        if spec is not None:
+            spec.record(plan)
         result = self.target.decide_with_order_scored(person, query, network, scores)
         if from_memo:
             self.score_hits += 1
@@ -1989,10 +1908,11 @@ class ProbeEngine:
         total = self.hits + self.score_hits + self.misses
         return (self.hits + self.score_hits) / total if total else 0.0
 
-    def _key(self, person: int, query: Query, network) -> Optional[Tuple]:
+    def _key(
+        self, person: int, query: Query, network, eps: Optional[float]
+    ) -> Optional[Tuple]:
         if not self.memoize:
             return None
-        self._sync_base()
         if network is self.base:
             flips: frozenset = frozenset()
         elif (
@@ -2003,13 +1923,7 @@ class ProbeEngine:
             flips = network.flips()
         else:
             return None  # foreign network: probe uncached
-        spec = active_localized()
-        if spec is not None:
-            # Sampled decisions may differ from exact ones near ranking
-            # ties; a localized scope's decisions never share memo slots
-            # with exact-mode probes (see the score-memo key suffix too).
-            return (person, query, flips, "localized", spec.epsilon)
-        return (person, query, flips)
+        return (person, query, flips, eps)
 
     def _sync_base(self) -> None:
         if self.base.version != self.base_version:

@@ -31,7 +31,6 @@ import numpy as np
 from repro.backend import get_backend
 from repro.embeddings.similarity import SkillEmbedding
 from repro.graph.network import CollaborationNetwork
-from repro.graph.overlay import NetworkOverlay
 from repro.graph.perturbations import Query, as_query
 from repro.search.engine import ProbeSession
 from repro.nn.autograd import Tensor
@@ -274,35 +273,3 @@ class GcnExpertRanker(ExpertSearchSystem):
         features = self._node_features(query, network)
         adj_norm = network.normalized_adjacency()
         return get_backend().gcn_forward(self._scorer, features, adj_norm).copy()
-
-    def scores_batch(
-        self, query: Iterable[str], networks
-    ) -> List[np.ndarray]:
-        """Score one query against a *group* of perturbed networks at once.
-
-        Overlay groups over a common frozen base are flushed through the
-        delta session's batched multi-probe forward: the per-overlay probe
-        feature matrices are stacked into one ``(k·n, d)`` input, the
-        (patched) propagation operators into a block-diagonal sparse
-        operator, and a single :class:`_GcnScorer` forward scores the
-        whole group — mirroring the session-level flush that
-        ``ProbeEngine.probe_batch`` performs, for callers holding a
-        ranker rather than an engine.  Anything the session cannot serve (plain
-        networks, ``full_rebuild``, mixed bases) falls back to per-network
-        :meth:`scores`.
-        """
-        networks = list(networks)
-        query = as_query(query)
-        if self.full_rebuild or not networks:
-            return [self.scores(query, net) for net in networks]
-        base = None
-        for net in networks:
-            if not isinstance(net, NetworkOverlay) or (
-                base is not None and net.base is not base
-            ):
-                return [self.scores(query, net) for net in networks]
-            base = net.base
-        session = self._session_for(base)
-        if session is None:
-            return [self.scores(query, net) for net in networks]
-        return session.scores_batch(query, networks)

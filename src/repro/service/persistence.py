@@ -2,16 +2,16 @@
 memos to disk so a restarted ``python -m repro serve`` worker answers its
 first request hot instead of paying the cold-start rebuild.
 
-File format (``repro-registry-spill/1``, a single pickle)::
+File format (``repro-registry-spill/2``, a single pickle)::
 
     {
-        "format":  "repro-registry-spill/1",
+        "format":  "repro-registry-spill/2",
         "digest":  <network.state_digest()>,   # structural binding key
         "version": <network.version at spill>, # informational only
         "backend": <type(get_backend()).__name__>,
         "sessions":      {label: {cache_attr: [(key, value), ...]}},
         "team_sessions": {label: {cache_attr: [(key, value), ...]}},
-        "score_memos":   {label: [((query, flips), vector), ...]},
+        "score_memos":   {label: [((query, flips, epsilon), (vector, plan)), ...]},
     }
 
 ``label`` is ``"{index}:{TypeName}"`` over the caller-supplied ``systems``
@@ -25,7 +25,9 @@ the live network's :meth:`~repro.graph.network.CollaborationNetwork
 restores *nothing* on a mismatch — a changed dataset or kernel family
 starts cold rather than hot-with-wrong-answers.  Version counters are
 deliberately not compared (they restart at 0 in a new process); spilled
-score-memo entries are re-stamped with the live network's version on load.
+score-memo entries are re-stamped with the live network's version on load
+and keep their localized ``epsilon`` (None for exact-mode entries), so a
+restored sampled vector never serves an exact-mode probe.
 
 The payload is **pickle**: only load spill files your own deployment
 wrote.  This mirrors every other warm-cache-on-disk design (pickles can
@@ -42,7 +44,7 @@ from typing import Dict, Sequence
 from repro.backend import get_backend
 from repro.graph.network import CollaborationNetwork
 
-SPILL_FORMAT = "repro-registry-spill/1"
+SPILL_FORMAT = "repro-registry-spill/2"
 
 
 def _label(index: int, system) -> str:
@@ -85,8 +87,8 @@ def spill_registry(
             hit = registry._score_memos.get(key)
             if hit is not None and hit[1] is network:
                 entries = [
-                    ((query, flips), vector)
-                    for (query, flips, version), vector in hit[2].items()
+                    ((query, flips, eps), entry)
+                    for (query, flips, version, eps), entry in hit[2].items()
                     if version == network.version
                 ]
                 payload["score_memos"][label] = entries
@@ -146,8 +148,8 @@ def restore_registry(
             entries = payload["score_memos"].get(label)
             if entries:
                 memo = registry._restored_score_memo(system, network)
-                for (query, flips), vector in entries:
-                    memo.put((query, flips, network.version), vector)
+                for (query, flips, eps), entry in entries:
+                    memo.put((query, flips, network.version, eps), entry)
                 stats["memo_entries"] += len(entries)
         registry.restored_sessions += stats["sessions"] + stats["team_sessions"]
         registry.restored_memo_entries += stats["memo_entries"]

@@ -3,20 +3,16 @@
 The paper's team-formation experiments (§4.3) use the method of Hao et
 al. [23]: the user supplies a main member and the system grows a team
 around them until every query term is covered.  :class:`CoverTeamFormer`
-implements that contract; :class:`MstTeamFormer` is the classic
-Lappas-et-al.-style graph-optimization baseline [32] (rarest-first cover
-connected through shortest paths).
+implements that contract.
 """
 
 from repro.team.base import Team, TeamFormationSystem
 from repro.team.engine import CoverTeamDeltaSession, TeamDeltaSession
 from repro.team.greedy import CoverTeamFormer
-from repro.team.mst import MstTeamFormer
 
 __all__ = [
     "CoverTeamDeltaSession",
     "CoverTeamFormer",
-    "MstTeamFormer",
     "Team",
     "TeamDeltaSession",
     "TeamFormationSystem",

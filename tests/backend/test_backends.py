@@ -443,5 +443,5 @@ class TestCostHints:
         finally:
             set_backend(previous)
         assert stacked_spy.calls["power_iteration_stacked"] > 0
-        for seq_vec, stacked_vec in zip(sequential, stacked):
+        for (seq_vec, _), (stacked_vec, _) in zip(sequential, stacked):
             np.testing.assert_array_equal(seq_vec, stacked_vec)

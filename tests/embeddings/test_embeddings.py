@@ -1,6 +1,6 @@
-"""Embedding trainers and the similarity oracle.
+"""The embedding trainer and the similarity oracle.
 
-Both trainers are checked on a synthetic two-topic corpus where ground
+The trainer is checked on a synthetic two-topic corpus where ground
 truth is unambiguous: words of the same topic co-occur, words of different
 topics never do, so same-topic similarity must dominate.
 """
@@ -8,12 +8,7 @@ topics never do, so same-topic similarity must dominate.
 import numpy as np
 import pytest
 
-from repro.embeddings import (
-    SgnsConfig,
-    SkillEmbedding,
-    train_ppmi_embedding,
-    train_sgns_embedding,
-)
+from repro.embeddings import SkillEmbedding, train_ppmi_embedding
 
 TOPIC_A = ["graph", "mining", "network", "community"]
 TOPIC_B = ["compiler", "parser", "lexer", "grammar"]
@@ -58,26 +53,6 @@ class TestPpmiEmbedding:
     def test_dim_clamped_to_vocab(self):
         emb = train_ppmi_embedding([["a", "b"], ["a", "b"]], dim=64, min_count=1)
         assert emb.dim <= 2
-
-
-class TestSgnsEmbedding:
-    def test_separates_topics(self, two_topic_docs):
-        emb = train_sgns_embedding(
-            two_topic_docs, SgnsConfig(dim=16, epochs=3, min_count=2, seed=0)
-        )
-        assert _topic_separation(emb) > 0.3
-
-    def test_finite_vectors(self, two_topic_docs):
-        emb = train_sgns_embedding(
-            two_topic_docs, SgnsConfig(dim=8, epochs=2, seed=1)
-        )
-        assert np.isfinite(emb.vectors).all()
-
-    def test_deterministic(self, two_topic_docs):
-        cfg = SgnsConfig(dim=8, epochs=1, seed=2)
-        a = train_sgns_embedding(two_topic_docs, cfg)
-        b = train_sgns_embedding(two_topic_docs, cfg)
-        np.testing.assert_allclose(a.vectors, b.vectors)
 
 
 class TestSkillEmbeddingOracle:

@@ -5,7 +5,7 @@ import pytest
 from repro.graph import CollaborationNetwork
 from repro.explain import MembershipTarget, RelevanceTarget
 from repro.search import CoverageExpertRanker
-from repro.team import CoverTeamFormer, MstTeamFormer
+from repro.team import CoverTeamFormer, Team, TeamFormationSystem
 
 
 @pytest.fixture
@@ -55,6 +55,10 @@ class TestMembershipTarget:
         assert order == 1.0
 
     def test_rankerless_former_rejected(self, net):
-        target = MembershipTarget(MstTeamFormer())
+        class RankerlessFormer(TeamFormationSystem):
+            def form(self, query, network, seed_member=None, scores=None):
+                return Team(frozenset(), seed_member, frozenset(), frozenset())
+
+        target = MembershipTarget(RankerlessFormer())
         with pytest.raises(AttributeError, match="ranker"):
             _ = target.ranker

@@ -528,9 +528,29 @@ class TestBatchedProbes:
         assert results[0] == engine.probe(0, q, overlay)  # memoized
 
 
+class TestScoringSurface:
+    def test_sessions_expose_only_scores_batch(self):
+        """Every delta session scores through ``scores_batch`` alone; the
+        engine has one probe pipeline."""
+        import repro.search.engine as engine_mod
+
+        sessions = {
+            cls for cls in vars(engine_mod).values()
+            if isinstance(cls, type) and issubclass(cls, engine_mod.DeltaSession)
+        }
+        assert len(sessions) == 5  # the base and the four rankers' sessions
+        for cls in sessions:
+            public = {
+                name for name in dir(cls)
+                if not name.startswith("_") and "score" in name
+            }
+            assert public == {"scores_batch"}, cls.__name__
+        assert not hasattr(ProbeEngine, "_session_scores")
+
+
 class TestGcnBatchedSession:
-    """scores_batch == per-probe scores == full rebuild, through both the
-    session and the ranker-level dispatch."""
+    """scores_batch == one-overlay scores_batch == full rebuild, through
+    both the session and the ranker-level dispatch."""
 
     def test_session_batch_parity(self, small_gcn_ranker, small_dataset, small_query):
         net = small_dataset.network
@@ -543,10 +563,10 @@ class TestGcnBatchedSession:
             overlays.append(overlay)
         small_gcn_ranker.scores(q, overlays[0])  # open the session
         session = small_gcn_ranker._session_for(net)
-        batched = session.scores_batch(q, overlays)
+        batched = [vec for vec, _ in session.scores_batch(q, overlays)]
         for overlay, scores in zip(overlays, batched):
             np.testing.assert_allclose(
-                scores, session.scores(q, overlay), rtol=0, atol=1e-9
+                scores, session.scores_batch(q, [overlay])[0][0], rtol=0, atol=1e-9
             )
             assert overlay._mat is None
         small_gcn_ranker.full_rebuild = True
@@ -568,17 +588,21 @@ class TestGcnBatchedSession:
         skill = sorted(net.skills(0))[0]
         ov1, q = apply_perturbations(net, small_query, [RemoveSkill(0, skill)])
         ov2, _ = apply_perturbations(net, small_query, [AddSkill(1, "zz")])
-        batched = small_gcn_ranker.scores_batch(q, [ov1, ov2])
+        # Ranker-level scores of an overlay dispatch to the session's
+        # scores_batch; the stacked pair must agree with them.
+        session = small_gcn_ranker._session_for(net)
+        batched = [vec for vec, _ in session.scores_batch(q, [ov1, ov2])]
         np.testing.assert_allclose(
             batched[0], small_gcn_ranker.scores(q, ov1), rtol=0, atol=1e-9
         )
         np.testing.assert_allclose(
             batched[1], small_gcn_ranker.scores(q, ov2), rtol=0, atol=1e-9
         )
-        # Plain networks fall back to per-network scoring.
-        plain = small_gcn_ranker.scores_batch(q, [net])
+        # Plain networks score through the plain path; the session's
+        # empty overlay over the same base must agree with it.
+        ((plain, _),) = session.scores_batch(q, [NetworkOverlay(net)])
         np.testing.assert_allclose(
-            plain[0], small_gcn_ranker.scores(q, net), rtol=0, atol=1e-9
+            plain, small_gcn_ranker.scores(q, net), rtol=0, atol=1e-9
         )
 
     def test_restricted_forward_counts(self, small_gcn_ranker, small_dataset, small_query, monkeypatch):
@@ -599,9 +623,8 @@ class TestGcnBatchedSession:
             monkeypatch.setattr(engine_mod, "_RESTRICT_MAX_FRACTION", fraction)
             monkeypatch.setattr(engine_mod, "_BATCH_GROUP", 0)
             session = small_gcn_ranker.delta_session(net)
-            np.testing.assert_allclose(
-                session.scores(q, overlay), reference, rtol=0, atol=1e-9
-            )
+            ((scores, _),) = session.scores_batch(q, [overlay])
+            np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-9)
             assert getattr(session, attr) == 1
 
 

@@ -15,7 +15,8 @@ and including annihilating add-then-remove pairs — and asserts
   overlay, and the same membership decisions through ``MembershipTarget``,
 * batched probe flushes decide identically to sequential probes,
 * random probe *batches* through ``scores_batch`` equal sequential
-  ``scores`` calls and full rebuilds to 1e-9 for **every ranker** (the
+  one-overlay ``scores_batch`` calls and full rebuilds to 1e-9 for
+  **every ranker** (the
   PR-4 batched delta forwards), and random multi-*query* sweeps over one
   pinned overlay through ``ProbeEngine.probe_batch`` decide like
   sequential probes and score like full rebuilds the same way,
@@ -195,7 +196,7 @@ class TestGcnScoreFuzz:
         np.testing.assert_allclose(fast, slow, rtol=0, atol=ATOL)
         # The batched multi-probe forward must agree with both.
         session = small_gcn_ranker._session_for(net)
-        (batched,) = session.scores_batch(query, [overlay])
+        ((batched, _),) = session.scores_batch(query, [overlay])
         np.testing.assert_allclose(batched, slow, rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize("chain_length", CHAIN_LENGTHS)
@@ -224,7 +225,7 @@ class TestGcnScoreFuzz:
         overlay = _random_chain(net, rng, 3)
         # A fresh session so the forced threshold is what serves the probe.
         session = small_gcn_ranker.delta_session(net)
-        fast = session.scores(query, overlay)
+        ((fast, _),) = session.scores_batch(query, [overlay])
         if overlay.n_flips:
             assert session.restricted_probes > 0
         slow = _reference_scores(small_gcn_ranker, query, overlay)
@@ -235,7 +236,8 @@ class TestGcnScoreFuzz:
 # localized plans: mode-aware parity against full rebuild
 # ----------------------------------------------------------------------
 class TestLocalizedScoreFuzz:
-    """``scores_localized`` against full rebuild on random chains, with
+    """``scores_batch`` under a localized spec against full rebuild on
+    random chains, with
     the mode-aware contract: exact and global plans match to 1e-9, a
     sampled plan's l1 error stays inside its *certified* residual bound,
     and that bound never exceeds the scope's epsilon (plus the base
@@ -255,7 +257,7 @@ class TestLocalizedScoreFuzz:
         for _ in range(cls.N_PROBES):
             query = _random_query(net, rng)
             overlay = _random_chain(net, rng, chain_length)
-            scores, plan = session.scores_localized(query, overlay, spec)
+            ((scores, plan),) = session.scores_batch(query, [overlay], spec)
             spec.record(plan)
             assert overlay._mat is None, "localized path materialized"
             slow = _reference_scores(ranker, query, overlay)
@@ -305,7 +307,7 @@ class TestLocalizedScoreFuzz:
         overlay = _random_chain(net, rng, 3)
         session = small_gcn_ranker.delta_session(net)
         spec = LocalizedSpec(epsilon=1e-6)
-        scores, plan = session.scores_localized(query, overlay, spec)
+        ((scores, plan),) = session.scores_batch(query, [overlay], spec)
         assert plan.mode in ("exact", "global")
         slow = _reference_scores(small_gcn_ranker, query, overlay)
         np.testing.assert_allclose(scores, slow, rtol=0, atol=ATOL)
@@ -336,14 +338,63 @@ class TestLocalizedScoreFuzz:
         assert scoped == again
         assert scoped[0] == plain_first[0]
 
+    @staticmethod
+    def _batch_vs_sequential(ranker, net, rng):
+        """``probe_batch`` under a localized scope must decide, count and
+        account plans exactly like the same states probed one by one —
+        including states repeated within the batch, for the same person
+        (a decision-memo answer) and for another (a score-memo answer)."""
+        from repro.runtime import LocalizedSpec, localized_scope
+
+        target = RelevanceTarget(ranker, k=5)
+        states = []
+        for _ in range(10):
+            query = _random_query(net, rng)
+            overlay = _random_chain(net, rng, int(rng.integers(1, 4)))
+            states.append((int(rng.integers(0, net.n_people)), query, overlay))
+        person, query, overlay = states[0]
+        states += [
+            (person, query, overlay),
+            ((person + 1) % net.n_people, query, overlay),
+            (person, query, None),
+        ]
+        outcomes = []
+        for batched in (True, False):
+            engine = ProbeEngine(target, net)
+            spec = LocalizedSpec(epsilon=1e-6)
+            with localized_scope(spec):
+                if batched:
+                    decisions = engine.probe_batch(states)
+                else:
+                    decisions = [engine.probe(*state) for state in states]
+            counters = (engine.hits, engine.score_hits, engine.misses)
+            outcomes.append((decisions, spec.summary(), counters))
+        assert outcomes[0] == outcomes[1]
+        summary = outcomes[0][1]
+        assert summary["exact"] + summary["sampled"] + summary["global"] == len(states) - 1
+
+    @pytest.mark.parametrize("seed", QUICK_SEEDS)
+    def test_engine_batch_matches_sequential(self, seed):
+        rng = np.random.default_rng(4_600 + seed)
+        net = toy_network(n_people=int(rng.integers(12, 25)), seed=seed)
+        self._batch_vs_sequential(PageRankExpertRanker(), net, rng)
+
+    @pytest.mark.parametrize("seed", QUICK_SEEDS)
+    def test_gcn_engine_batch_matches_sequential(
+        self, small_gcn_ranker, small_dataset, seed
+    ):
+        rng = np.random.default_rng(4_700 + seed)
+        self._batch_vs_sequential(small_gcn_ranker, small_dataset.network, rng)
+
 
 # ----------------------------------------------------------------------
 # batched delta forwards: scores_batch == sequential == full rebuild
 # ----------------------------------------------------------------------
 class TestBatchedScoreFuzz:
     """Random probe batches through every ranker's ``scores_batch`` must
-    equal sequential ``scores`` calls (fresh session, so neither path is
-    answered from the other's caches) and full rebuilds to 1e-9."""
+    equal sequential one-overlay ``scores_batch`` calls (fresh session, so
+    neither path is answered from the other's caches) and full rebuilds to
+    1e-9."""
 
     N_PROBES = 6
 
@@ -354,9 +405,11 @@ class TestBatchedScoreFuzz:
             _random_chain(net, rng, int(rng.integers(1, 5)))
             for _ in range(cls.N_PROBES)
         ]
-        batched = ranker.delta_session(net).scores_batch(query, overlays)
+        batched = [
+            vec for vec, _ in ranker.delta_session(net).scores_batch(query, overlays)
+        ]
         fresh = ranker.delta_session(net)
-        sequential = [fresh.scores(query, ov) for ov in overlays]
+        sequential = [fresh.scores_batch(query, [ov])[0][0] for ov in overlays]
         for fast, seq, ov in zip(batched, sequential, overlays):
             assert ov._mat is None, "batched path materialized an overlay"
             np.testing.assert_allclose(fast, seq, rtol=0, atol=ATOL)
@@ -423,7 +476,9 @@ class TestMultiQueryFuzz:
         assert batched == sequential
         assert overlay._mat is None, "multi-query path materialized the overlay"
         for q in queries:
-            fast = engine._score_memo.get((q, overlay.flips(), engine.base_version))
+            fast, _ = engine._score_memo.get(
+                (q, overlay.flips(), engine.base_version, None)
+            )
             slow = _reference_scores(ranker, q, overlay)
             np.testing.assert_allclose(fast, slow, rtol=0, atol=ATOL)
 
@@ -899,8 +954,8 @@ class TestCommitFuzz:
                     assert probe._mat is None, "delta path materialized the probe"
                     slow = _reference_scores(ranker, query, probe)
                     np.testing.assert_allclose(fast, slow, rtol=0, atol=ATOL)
-                    fresh = fresh_session.scores(
-                        query, _replay_overlay(probe, fresh_net)
+                    ((fresh, _),) = fresh_session.scores_batch(
+                        query, [_replay_overlay(probe, fresh_net)]
                     )
                     np.testing.assert_allclose(fast, fresh, rtol=0, atol=ATOL)
 

@@ -255,6 +255,48 @@ class TestEngineRegistry:
         membership.probe(1, query, net)
         assert membership.score_hits == before + 1  # served from shared memo
 
+    def test_spill_after_localized_request(
+        self, net, embedding, predictor, tmp_path
+    ):
+        """Localized score-memo entries spill and restore under their own
+        epsilon: the spill must not choke on them, and a restored sampled
+        vector serves localized probes only, never an exact-mode probe."""
+        from repro.runtime import LocalizedSpec, localized_scope
+
+        ranker = PageRankExpertRanker()
+        service = _service(net, ranker, embedding, predictor)
+        query = tuple(sorted(net.skill_universe())[:3])
+        _, outsider = _subjects(ranker, net, query)
+        response = service.explain(
+            ExplainRequest(
+                kind="cf_query", person=outsider, query=query,
+                localized=True, epsilon=1e-6,
+            )
+        )
+        assert response.ok
+        path = str(tmp_path / "registry.spill")
+        spilled = service.registry.spill(path, net, [ranker])
+        assert spilled["memo_entries"] > 0
+
+        ranker2 = PageRankExpertRanker()
+        service2 = _service(net, ranker2, embedding, predictor)
+        restored = service2.registry.restore(path, net, [ranker2])
+        assert restored["memo_entries"] == spilled["memo_entries"]
+        keys = service2.registry._restored_score_memo(ranker2, net).keys()
+        assert keys and all(key[3] == 1e-6 for key in keys)
+        probe_query, flips, _, _ = keys[0]
+        assert flips == frozenset()  # query counterfactuals probe the base
+
+        engine = service2.engine()
+        before = (engine.score_hits, engine.misses)
+        engine.probe(outsider, probe_query, net)
+        assert (engine.score_hits, engine.misses) == (before[0], before[1] + 1)
+        spec = LocalizedSpec(epsilon=1e-6)
+        with localized_scope(spec):
+            engine.probe(outsider, probe_query, net)
+        assert engine.score_hits == before[0] + 1
+        assert spec.summary()["exact"] + spec.summary()["sampled"] == 1
+
     def test_set_full_rebuild_drops_engines(self, net, embedding, predictor):
         service = _service(net, PageRankExpertRanker(), embedding, predictor)
         engine = service.engine()
