@@ -1,6 +1,6 @@
 """Probe-engine benchmark: per-ranker delta matrix + explanation suites.
 
-Ten measurements, all written to ``BENCH_probe_engine.json`` at the repo
+Eleven measurements, all written to ``BENCH_probe_engine.json`` at the repo
 root so the perf trajectory is tracked across PRs:
 
 * a **per-ranker probe matrix** — the same random overlay probe states
@@ -46,7 +46,11 @@ root so the perf trajectory is tracked across PRs:
   (certified-exact splices + the bounded-error forward-push PageRank
   kernel) against the same session's global kernels, parity-gated per
   plan mode (exact to 1e-9, sampled within its certified residual bound)
-  — the full run asserts the PageRank localized speedup floor at 1e5.
+  — the full run asserts the PageRank localized speedup floor at 1e5;
+* a **PageRank query-subset row** per scale tier — the SHAP-shaped sweep
+  over every subset of a 5-term query, one cold walk per subset (the
+  plain path) against one delta session's superposed base solves, with a
+  1e-9 parity assertion and the session's cold-solve count.
 
 Run with::
 
@@ -55,7 +59,8 @@ Run with::
 ``--smoke`` runs the per-ranker matrix, the team-formation parity row,
 the GCN batched row, the SHAP multi-query exactness row, and the
 service / resilience parity rows on a tiny network (no GAE,
-a briefly-trained GCN) and writes
+a briefly-trained GCN), plus the scale and PageRank query-subset rows
+at 1e3/1e4 nodes, and writes
 ``BENCH_probe_engine.smoke.json`` — the CI job uses it to fail
 parity/perf-path regressions before the next full bench run.
 """
@@ -1078,11 +1083,11 @@ def _edge_flip_states(net, query, n_states: int, seed: int):
     return states
 
 
-def _scale_query(net, rng) -> frozenset:
-    """A 3-term query drawn from skills people actually hold (the Zipf
-    vocabulary leaves tail terms unassigned at small tiers)."""
+def _scale_query(net, rng, n_terms: int = 3) -> frozenset:
+    """An ``n_terms``-term query drawn from skills people actually hold
+    (the Zipf vocabulary leaves tail terms unassigned at small tiers)."""
     terms = set()
-    while len(terms) < 3:
+    while len(terms) < n_terms:
         person = int(rng.integers(0, net.n_people))
         own = sorted(net.skills(person))
         if own:
@@ -1243,6 +1248,77 @@ def run_scale_rows(
     return rows
 
 
+def run_pagerank_query_subsets_row(
+    tiers=SCALE_TIERS, n_terms: int = 5, seed: int = 53
+) -> dict:
+    """The SHAP-shaped PageRank sweep: every non-empty subset of one
+    ``n_terms``-term query over the unperturbed base (the coalitions a
+    ``query`` factual scores), per scale tier.
+
+    Cold side: one from-scratch walk per subset through the ranker's plain
+    path (the full-rebuild reference).  Superposed side: one fresh delta
+    session, which walks cold only for the single-term subsets and
+    warm-starts every multi-term base solve from their superposition.
+    Gate: every subset within 1e-9 of the reference; ``cold_solves``
+    counts the session's cold-started walks (``n_terms`` expected)."""
+    import itertools
+
+    from repro.graph import NetworkOverlay
+    from repro.graph.generators import synthesize_network_streaming
+
+    rows = {}
+    for n in tiers:
+        net = synthesize_network_streaming(_scale_recipe(n)).network
+        query = _scale_query(net, np.random.default_rng(seed + n), n_terms)
+        terms = sorted(query)
+        subsets = [
+            frozenset(c)
+            for size in range(1, len(terms) + 1)
+            for c in itertools.combinations(terms, size)
+        ]
+        ranker = PageRankExpertRanker()
+        start = time.perf_counter()
+        cold = [ranker.scores(sub, net) for sub in subsets]
+        cold_s = time.perf_counter() - start
+
+        walks = []
+        inner = ranker._power_iteration
+
+        def counting(restart, adj, out_degree, warm_start=None):
+            walks.append(warm_start is None)
+            return inner(restart, adj, out_degree, warm_start=warm_start)
+
+        ranker._power_iteration = counting
+        session = ranker.delta_session(net)
+        empty = NetworkOverlay(net)
+        start = time.perf_counter()
+        superposed = [session.scores_batch(sub, [empty])[0][0] for sub in subsets]
+        superposed_s = time.perf_counter() - start
+
+        worst = max(float(np.abs(a - b).max()) for a, b in zip(superposed, cold))
+        assert worst <= 1e-9, (
+            f"pagerank subsets n={n}: superposed solve drifted ({worst:.2e})"
+        )
+        rows[str(n)] = {
+            "n_people": net.n_people,
+            "n_terms": len(terms),
+            "n_subsets": len(subsets),
+            "cold_seconds": cold_s,
+            "superposed_seconds": superposed_s,
+            "speedup": cold_s / superposed_s,
+            "cold_solves": sum(walks),
+            "worst_abs_err": worst,
+        }
+        print(
+            f"  pagerank subsets n={n:>7}: {cold_s:.3f}s cold -> "
+            f"{superposed_s:.3f}s superposed ({cold_s / superposed_s:.1f}x, "
+            f"{sum(walks)} cold solves for {len(subsets)} subsets, "
+            f"parity {worst:.1e})",
+            flush=True,
+        )
+    return rows
+
+
 def run_smoke() -> dict:
     """Tiny-network per-ranker matrix: parity gate + JSON artifact for CI."""
     print("smoke: building tiny stack (brief GCN, no GAE) ...", flush=True)
@@ -1286,6 +1362,8 @@ def run_smoke() -> dict:
     scale_rows = run_scale_rows(
         tiers=(1_000, 10_000), n_states=8, include_gcn=True
     )
+    print("pagerank query-subset sweep (cold vs superposed) ...", flush=True)
+    subsets_row = run_pagerank_query_subsets_row(tiers=(1_000, 10_000))
     report = {
         "mode": "smoke",
         "network": {
@@ -1301,6 +1379,7 @@ def run_smoke() -> dict:
         "resilience": resilience_row,
         "edit_storm": edit_storm_row,
         "scale": scale_rows,
+        "pagerank_query_subsets": subsets_row,
     }
     out = REPO_ROOT / "BENCH_probe_engine.smoke.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -1355,6 +1434,9 @@ def main(huge: bool = False) -> dict:
     )
     scale_rows = run_scale_rows(tiers=tiers, pagerank_floor_at=100_000)
 
+    print("pagerank query-subset sweep (cold vs superposed) ...", flush=True)
+    subsets_row = run_pagerank_query_subsets_row()
+
     print("counterfactual suite, engine OFF (seed path) ...", flush=True)
     off_s, off_probes, off_results = run_counterfactual_suite(
         exes, net, experts, nonexperts, engine_on=False
@@ -1401,6 +1483,7 @@ def main(huge: bool = False) -> dict:
         "resilience": resilience_row,
         "edit_storm": edit_storm_row,
         "scale": scale_rows,
+        "pagerank_query_subsets": subsets_row,
         "counterfactual": {
             "engine_off_seconds": off_s,
             "engine_on_seconds": on_s,

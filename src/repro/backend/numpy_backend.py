@@ -68,11 +68,14 @@ class NumpyBackend(NumericBackend):
         inv_deg = np.divide(
             1.0, out_degree, out=np.zeros_like(out_degree), where=out_degree > 0
         )
+        # Loop invariants: ``adj.T`` builds a fresh csc wrapper per call.
+        adj_t = adj.T
+        dangling_mask = out_degree == 0
         scores = (restart if warm_start is None else warm_start).copy()
         converged = False
         for _ in range(max_iterations):
-            spread = adj.T @ (scores * inv_deg)
-            dangling = scores[out_degree == 0].sum()
+            spread = adj_t @ (scores * inv_deg)
+            dangling = scores[dangling_mask].sum()
             new = (1 - damping) * restart + damping * (
                 spread + dangling * restart
             )
@@ -103,13 +106,14 @@ class NumpyBackend(NumericBackend):
             1.0, out_degree, out=np.zeros_like(out_degree), where=out_degree > 0
         )
         dangling_mask = out_degree == 0
+        adj_t = adj.T
         scores = (restarts if starts is None else starts).copy()
         solutions = np.empty((n, k))
         converged = np.zeros(k, dtype=bool)
         active = np.arange(k)
         active_restarts = restarts.copy()
         for _ in range(max_iterations):
-            spread = adj.T @ (scores * inv_deg[:, None])
+            spread = adj_t @ (scores * inv_deg[:, None])
             dangling = scores[dangling_mask].sum(axis=0)
             new = (1 - damping) * active_restarts + damping * (
                 spread + dangling[None, :] * active_restarts

@@ -17,7 +17,7 @@ single scoring pass.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -28,32 +28,62 @@ from repro.graph.perturbations import Query, as_query
 from repro.runtime import delta_bypassed
 
 
-@dataclass
 class RankedResults:
-    """The outcome of scoring one query against one network."""
+    """The outcome of scoring one query against one network.
 
-    scores: np.ndarray  # score per person id
-    order: np.ndarray  # person ids, best first
-    ranks: np.ndarray = field(init=False)  # 1-based rank per person id
+    The canonical ordering is score descending, then id ascending, with
+    NaN scores last (exactly what ``np.lexsort((ids, -scores))`` yields).
+    ``order`` and ``ranks`` are derived lazily on first access: a
+    decision reads one rank, and :meth:`rank_of` answers it by counting in
+    O(n) — ``1 + #(s > s_p) + #(s[:p] == s_p)`` — instead of sorting all
+    ``n`` scores, with the same value the sorted ``ranks`` would hold.
+    """
 
-    def __post_init__(self) -> None:
-        ranks = np.empty(len(self.order), dtype=np.int64)
-        ranks[self.order] = np.arange(1, len(self.order) + 1)
-        self.ranks = ranks
+    __slots__ = ("scores", "_order", "_ranks")
+
+    def __init__(self, scores: np.ndarray) -> None:
+        self.scores = scores  # score per person id
+        self._order: Optional[np.ndarray] = None
+        self._ranks: Optional[np.ndarray] = None
 
     @classmethod
     def from_scores(cls, scores: np.ndarray) -> "RankedResults":
-        """Rank a precomputed score vector with the canonical deterministic
-        ordering (score descending, then id ascending) — the single source
-        of truth shared by :meth:`ExpertSearchSystem.evaluate` and the
-        batched probe path, so both rank identically."""
-        raw = np.asarray(scores, dtype=np.float64)
-        order = np.lexsort((np.arange(len(raw)), -raw))
-        return cls(scores=raw, order=order)
+        """Wrap a precomputed score vector — the single source of truth
+        shared by :meth:`ExpertSearchSystem.evaluate` and the batched probe
+        path, so both rank identically.  O(1): nothing is sorted here."""
+        return cls(np.asarray(scores, dtype=np.float64))
+
+    @property
+    def order(self) -> np.ndarray:
+        """Person ids, best first."""
+        if self._order is None:
+            raw = self.scores
+            self._order = np.lexsort((np.arange(len(raw)), -raw))
+        return self._order
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """1-based rank per person id."""
+        if self._ranks is None:
+            order = self.order
+            ranks = np.empty(len(order), dtype=np.int64)
+            ranks[order] = np.arange(1, len(order) + 1)
+            self._ranks = ranks
+        return self._ranks
 
     def rank_of(self, person: int) -> int:
-        """1-based rank of ``person`` (1 = best)."""
-        return int(self.ranks[person])
+        """1-based rank of ``person`` (1 = best), counted in O(n)."""
+        s = self.scores
+        own = s[person]
+        if np.isnan(own):
+            # NaN ranks after every number, then by id among the NaNs.
+            nan = np.isnan(s)
+            return 1 + int(s.size - np.count_nonzero(nan)) + int(
+                np.count_nonzero(nan[:person])
+            )
+        return 1 + int(np.count_nonzero(s > own)) + int(
+            np.count_nonzero(s[:person] == own)
+        )
 
     def top_k(self, k: int) -> List[int]:
         """The top-k person ids, best first."""

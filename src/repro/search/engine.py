@@ -29,7 +29,8 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
     sparse delta on the cached ``A+I``; small cones splice the flips'
     2-hop receptive field, groups share one stacked forward.
   - :class:`PageRankDeltaSession` — cached transition operator (adjacency +
-    out-degrees) and, per query, the restart counts and base solution; a
+    out-degrees) and, per query, the base solution (multi-term queries
+    warm-started from their terms' superposed single-term solutions); a
     probe patches the restart vector / degrees in O(Δ) and warm-starts
     power iteration from the base solution — or, under a localized
     scope, runs a certified bounded-error forward push instead.
@@ -51,8 +52,8 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
   ranker's score vector for a probed state is person-independent, so
   once any explainer scores a ``(query subset, overlay)`` state, every
   other explainer (or another person's SHAP sweep over the same masks)
-  reuses the vector and pays only the O(n log n) decision, never the
-  forward.  There is one probe pipeline: :meth:`ProbeEngine.probe` is a
+  reuses the vector and pays only the O(n) counting-rank decision, never
+  the forward.  There is one probe pipeline: :meth:`ProbeEngine.probe` is a
   :meth:`ProbeEngine.probe_batch` of one, and every miss flushes through
   :meth:`DeltaSession.scores_batch`, grouped by query; only the GCN
   overrides it (one stacked forward per group), every other session
@@ -847,21 +848,30 @@ class PageRankDeltaSession(DeltaSession):
     """O(Δ) probes for :class:`~repro.search.pagerank.PageRankExpertRanker`.
 
     The transition operator (base adjacency CSR + out-degrees) is cached
-    once; per query the raw restart counts and the base solution are
-    cached.  A probe patches the restart counts per query-term skill flip
-    (exact integer arithmetic, so the normalized restart vector matches a
-    from-scratch build bit-for-bit), applies a sparse ±1 delta to the
-    adjacency/degrees per edge flip, and warm-starts power iteration from
-    the base solution.  If the base solve hit the iteration cap without
-    converging, the probe falls back to a cold start so it keeps parity
-    with the cold-started reference path.
+    once; per query the base solution is cached (the restart counts are
+    re-derived per probe through the base's skill-incidence cache, O(nnz
+    of the query's columns), rather than held as a dense n-float vector
+    per entry).  A probe patches the restart counts per query-term skill
+    flip (exact integer arithmetic, so the normalized restart vector
+    matches a from-scratch build bit-for-bit), applies a sparse ±1 delta
+    to the adjacency/degrees per edge flip, and warm-starts power
+    iteration from the base solution.  If the base solve hit the
+    iteration cap without converging, the probe falls back to a cold
+    start so it keeps parity with the cold-started reference path.
+
+    A multi-term query's base solution is not walked cold: it is
+    warm-started from the superposition of its single-term solutions
+    (:meth:`_superposed_start`), which share the same LRU, so a SHAP sweep
+    over a query's term coalitions pays one cold walk per *term*, not one
+    per coalition.
     """
 
     def __init__(self, ranker, base: CollaborationNetwork) -> None:
         super().__init__(ranker, base)
         self._adj = base.adjacency_csr()
         self._out_degree = np.asarray(self._adj.sum(axis=1)).ravel()
-        # query -> (restart counts, base solution or None, converged)
+        # query -> (base solution or None, converged); single-term queries
+        # double as the superposition basis of multi-term ones.
         self._query_cache = _LruCache(_MAX_QUERY_CACHE)
         # edge-flip set -> (patched adjacency, patched out-degrees): shared
         # across every query probed against the same overlay.
@@ -910,15 +920,17 @@ class PageRankDeltaSession(DeltaSession):
                 hit = self._query_cache.get(query)
                 if hit is None:
                     continue
-                counts, solution, converged = hit
-                restart = self._restart_from_counts(counts, len(query))
+                solution, converged = hit
+                restart = self._restart_from_counts(
+                    self.base.match_counts(query), len(query)
+                )
                 if restart is None:
-                    continue  # (counts, None, True) stays correct
+                    continue  # (None, True) stays correct
                 warm = solution if converged else None
                 solution, converged = self.ranker._power_iteration(
                     restart, adj, out_degree, warm_start=warm
                 )
-                self._query_cache.put(query, (counts, solution, converged))
+                self._query_cache.put(query, (solution, converged))
         self._accept_rebase(delta)
         return True
 
@@ -1002,22 +1014,54 @@ class PageRankDeltaSession(DeltaSession):
             return None
         return restart / total
 
-    def _base_state(self, query: Query):
+    def _base_state(
+        self, query: Query
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], bool]:
+        """``(restart counts, base solution or None, converged)`` for
+        ``query`` over the unperturbed base."""
+        # Through the cached skill-incidence CSC: O(nnz of the query's
+        # columns), bit-identical to the per-holder loop (+1.0 adds).
+        counts = self.base.match_counts(query)
         hit = self._query_cache.get(query)
         if hit is None:
-            # Through the cached skill-incidence CSC: O(nnz of the query's
-            # columns), bit-identical to the per-holder loop (+1.0 adds).
-            counts = self.base.match_counts(query)
             restart = self._restart_from_counts(counts, len(query))
             if restart is None:
-                hit = (counts, None, True)
+                hit = (None, True)
             else:
-                solution, converged = self.ranker._power_iteration(
-                    restart, self._adj, self._out_degree
+                warm = self._superposed_start(query) if len(query) > 1 else None
+                hit = self.ranker._power_iteration(
+                    restart, self._adj, self._out_degree, warm_start=warm
                 )
-                hit = (counts, solution, converged)
             self._query_cache.put(query, hit)
-        return hit
+        return (counts, *hit)
+
+    def _superposed_start(self, query: Query) -> Optional[np.ndarray]:
+        """Warm start for a multi-term base solve, built from the cached
+        single-term solutions; None (cold walk) when any of them did not
+        converge.
+
+        The walk's fixed point is ``p = c(p)·(I - d·W)⁻¹·r`` with
+        ``c(p) = 1 - d + d·dang(p)`` (``dang`` = mass on dangling nodes),
+        and the restart is linear in the holders: ``r_q = Σ_t |h_t|·r_t /
+        Σ_t |h_t|`` over the query's terms ``t`` (``|h_t|`` people hold
+        ``t``; skills are sets, so counts add).  Hence ``p_q ∝ Σ_t
+        |h_t|·p_t / c(p_t)``, normalized to unit mass.  The superposition
+        is only the start of one ordinary walk on ``r_q``: the result is
+        a genuine converged iterate, and that walk's first step restores
+        the exact ties a cold walk produces between isolated holders."""
+        d = self.ranker.damping
+        dang_idx = self._base_dangling()
+        total = None
+        for term in sorted(query):
+            counts, solution, converged = self._base_state(frozenset((term,)))
+            if not converged:
+                return None
+            if solution is None:
+                continue  # nobody holds the term: it adds nothing to r_q
+            c = 1.0 - d + d * float(solution[dang_idx].sum())
+            part = (counts.sum() / c) * solution
+            total = part if total is None else total + part
+        return total / total.sum()  # some term has holders: r_q exists
 
     def _probe_counts(
         self, query: Query, overlay: NetworkOverlay, counts: np.ndarray
@@ -1624,7 +1668,7 @@ class ProbeEngine:
         self.misses = 0  # probes that evaluated the underlying system
         # Decisions derived from a memoized score vector: no ranker
         # evaluation happened, but the decision itself was recomputed
-        # (cheap O(n log n) ranking / team re-formation).
+        # (cheap O(n) counting rank / team re-formation).
         self.score_hits = 0
         self._memo = _LruCache(_MAX_MEMO)
         # (query, flips, base version) -> ranker score vector.  Score

@@ -2,10 +2,10 @@
 memos to disk so a restarted ``python -m repro serve`` worker answers its
 first request hot instead of paying the cold-start rebuild.
 
-File format (``repro-registry-spill/2``, a single pickle)::
+File format (``repro-registry-spill/3``, a single pickle)::
 
     {
-        "format":  "repro-registry-spill/2",
+        "format":  "repro-registry-spill/3",
         "digest":  <network.state_digest()>,   # structural binding key
         "version": <network.version at spill>, # informational only
         "backend": <type(get_backend()).__name__>,
@@ -13,6 +13,10 @@ File format (``repro-registry-spill/2``, a single pickle)::
         "team_sessions": {label: {cache_attr: [(key, value), ...]}},
         "score_memos":   {label: [((query, flips, epsilon), (vector, plan)), ...]},
     }
+
+Format ``/3`` changed the PageRank session's ``_query_cache`` entries to
+``(solution, converged)`` (restart counts are re-derived, not stored);
+files in an older format restore nothing (``skipped: "format"``).
 
 ``label`` is ``"{index}:{TypeName}"`` over the caller-supplied ``systems``
 sequence — restore must be handed the *same systems in the same order* it
@@ -44,7 +48,7 @@ from typing import Dict, Sequence
 from repro.backend import get_backend
 from repro.graph.network import CollaborationNetwork
 
-SPILL_FORMAT = "repro-registry-spill/2"
+SPILL_FORMAT = "repro-registry-spill/3"
 
 
 def _label(index: int, system) -> str:

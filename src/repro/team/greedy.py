@@ -134,10 +134,16 @@ class CoverTeamFormer(TeamFormationSystem):
 
     @staticmethod
     def _seed_choice(scores: np.ndarray) -> int:
-        """The auto-selected main member: score descending, id ascending —
-        one rule shared by the greedy run and the delta session's seed
-        re-derivation check, so the two can never drift."""
-        return int(np.lexsort((np.arange(len(scores)), -scores))[0])
+        """The auto-selected main member: score descending, id ascending,
+        NaN last — one rule shared by the greedy run and the delta
+        session's seed re-derivation check, so the two can never drift.
+        An O(n) argmax: the first id holding the largest non-NaN score
+        (id 0 when every score is NaN), exactly ``lexsort``'s first pick."""
+        valid = ~np.isnan(scores)
+        if not valid.any():
+            return 0
+        best = scores.max(where=valid, initial=-np.inf)
+        return int(np.argmax(scores == best))
 
     @staticmethod
     def _frontier(network: CollaborationNetwork, members: Set[int]) -> Set[int]:

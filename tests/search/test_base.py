@@ -55,6 +55,53 @@ class TestRankedResults:
             ranker.evaluate(["a"], net4)
 
 
+def _lexsort_ranks(scores):
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    ranks = np.empty(len(scores), dtype=np.int64)
+    ranks[order] = np.arange(1, len(scores) + 1)
+    return order, ranks
+
+
+def _awkward_vector(rng, n):
+    """Scores drawn from a tiny value pool (many exact ties), with ±0.0,
+    ±inf and NaN mixed in."""
+    pool = np.array([0.0, -0.0, 1.5, -2.0, 3.25, np.inf, -np.inf, np.nan])
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+class TestCountingRank:
+    """``rank_of`` counts instead of sorting; it must agree with the
+    ``lexsort`` ordering (score desc, id asc, NaN last) everywhere."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counting_rank_equals_lexsort_rank(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        scores = _awkward_vector(rng, n)
+        _, ranks = _lexsort_ranks(scores)
+        results = RankedResults.from_scores(scores)
+        assert [results.rank_of(p) for p in range(n)] == list(ranks)
+        assert results._order is None and results._ranks is None  # never sorted
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_order_and_ranks_equal_eager(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        scores = _awkward_vector(rng, 40)
+        order, ranks = _lexsort_ranks(scores)
+        results = RankedResults.from_scores(scores)
+        np.testing.assert_array_equal(results.order, order)
+        np.testing.assert_array_equal(results.ranks, ranks)
+
+    def test_nan_ranks_last_by_id(self):
+        results = RankedResults.from_scores(np.array([np.nan, 1.0, np.nan, -np.inf]))
+        assert [results.rank_of(p) for p in range(4)] == [3, 1, 4, 2]
+        assert list(results.order) == [1, 3, 0, 2]
+
+    def test_signed_zeros_tie(self):
+        results = RankedResults.from_scores(np.array([-0.0, 0.0, -0.0]))
+        assert [results.rank_of(p) for p in range(3)] == [1, 2, 3]
+
+
 class TestRelevanceJudge:
     def test_judge_matches_rank(self, net4):
         ranker = FixedScoreRanker([0.1, 0.9, 0.5, 0.3])

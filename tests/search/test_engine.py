@@ -774,3 +774,133 @@ class TestMemoIsolationAcrossBases:
         # and _sync_base released them).
         for key in engine._score_memo._data:
             assert key[2] == engine.base_version
+
+
+def _superposition_networks():
+    """Toy networks for the superposed base solves: a connected ring with
+    chords, plus isolated (dangling) holders, a term nobody holds
+    (``ghost``, only ever in the query) and a term everyone holds."""
+    from repro.graph import CollaborationNetwork
+
+    ring = toy_network(n_people=12, seed=3)
+    for p in ring.people():
+        ring.add_skill(p, "common")
+    for name, skills in (("iso-a", {"graph"}), ("iso-b", {"mining"}), ("iso-c", {"common"})):
+        ring.add_person(name, skills)
+
+    star = CollaborationNetwork()
+    star.add_person("hub", {"graph", "common"})
+    for i, skills in enumerate(
+        ({"mining"}, {"graph", "mining"}, {"vision"}, set(), {"graph"})
+    ):
+        star.add_person(f"leaf{i}", skills | {"common"})
+        star.add_edge(0, i + 1)
+    star.add_edge(1, 2)
+    for i, skills in enumerate(({"vision"}, {"mining"}, {"graph", "vision"})):
+        star.add_person(f"iso{i}", skills | {"common"})
+    return [ring, star]
+
+
+def _subsets(query):
+    import itertools
+
+    terms = sorted(query)
+    for size in range(1, len(terms) + 1):
+        for combo in itertools.combinations(terms, size):
+            yield frozenset(combo)
+
+
+class TestPageRankSuperposition:
+    """A multi-term base solve is warm-started from the superposition of
+    its cached single-term solves instead of walking cold; it must stay
+    full-rebuild-exact (1e-9, identical decisions) on every coalition."""
+
+    QUERY = frozenset({"graph", "mining", "vision", "ghost", "common"})
+
+    @pytest.mark.parametrize("which", range(2))
+    def test_every_subset_matches_full_rebuild(self, which):
+        net = _superposition_networks()[which]
+        ranker = PageRankExpertRanker()
+        session = ranker.delta_session(net)
+        target = RelevanceTarget(ranker, k=3)
+        for sub in _subsets(self.QUERY):
+            fast = session.scores_batch(sub, [NetworkOverlay(net)])[0][0]
+            slow = ranker.scores(sub, net)  # plain path: a cold walk
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-9)
+            # Decisions, not ranks: a warm walk may break a mathematical
+            # tie between *connected* nodes by one ulp the other way (as
+            # warm-started skill-flip probes always could); the isolated
+            # holders' exact ties are pinned in the next test.
+            for person in net.people():
+                assert target.decide_with_order_scored(person, sub, net, fast)[
+                    0
+                ] == target.decide(person, sub, net), (sub, person)
+
+    def test_isolated_holders_keep_exact_ties(self):
+        net = _superposition_networks()[1]
+        ranker = PageRankExpertRanker()
+        session = ranker.delta_session(net)
+        iso = [net.find_person(f"iso{i}") for i in range(3)]
+        # Each isolated holder matches two of {mining, vision, common},
+        # through a different pair of terms: equal counts, exact ties.
+        query = frozenset({"mining", "vision", "common"})
+        fast = session.scores_batch(query, [NetworkOverlay(net)])[0][0]
+        slow = ranker.scores(query, net)
+        assert slow[iso[0]] == slow[iso[1]] == slow[iso[2]]
+        assert fast[iso[0]] == fast[iso[1]] == fast[iso[2]]
+
+    def test_subset_sweep_costs_one_cold_solve_per_term(self):
+        net = _superposition_networks()[0]
+        ranker = PageRankExpertRanker()
+        query = frozenset({"graph", "mining", "vision", "database", "common"})
+        assert all(net.people_with_skill(t) for t in query)
+        walks = []
+        inner = ranker._power_iteration
+
+        def counting(restart, adj, out_degree, warm_start=None):
+            walks.append(warm_start is None)
+            return inner(restart, adj, out_degree, warm_start=warm_start)
+
+        ranker._power_iteration = counting
+        session = ranker.delta_session(net)
+        subsets = list(_subsets(query))
+        assert len(subsets) == 31
+        for sub in subsets:
+            session.scores_batch(sub, [NetworkOverlay(net)])
+        assert sum(walks) == 5  # cold: the five single-term solves
+        assert len(walks) == 31  # every other coalition: one warm walk
+
+    def test_unconverged_term_falls_back_to_cold_walk(self):
+        net = _superposition_networks()[0]
+        ranker = PageRankExpertRanker(max_iterations=3)
+        session = ranker.delta_session(net)
+        query = frozenset({"graph", "mining"})
+        assert not session._base_state(frozenset({"graph"}))[2]
+        assert session._superposed_start(query) is None
+        fast = session.scores_batch(query, [NetworkOverlay(net)])[0][0]
+        np.testing.assert_array_equal(fast, ranker.scores(query, net))
+
+    def test_skill_commit_evicts_every_query_holding_the_term(self):
+        net = _superposition_networks()[0]
+        ranker = PageRankExpertRanker()
+        session = ranker.delta_session(net)
+        queries = [
+            frozenset({"graph"}),
+            frozenset({"graph", "mining"}),
+            frozenset({"mining", "vision"}),
+            frozenset({"vision"}),
+        ]
+        for query in queries:
+            session.scores_batch(query, [NetworkOverlay(net)])
+        holder = min(net.people_with_skill("graph"))
+        overlay = NetworkOverlay(net)
+        overlay.remove_skill(holder, "graph")
+        assert session.rebase(overlay.commit())
+        kept = set(session._query_cache.keys())
+        assert not any("graph" in q for q in kept)
+        assert {frozenset({"mining"}), frozenset({"mining", "vision"})} <= kept
+        for query in queries:
+            fast = session.scores_batch(query, [NetworkOverlay(net)])[0][0]
+            np.testing.assert_allclose(
+                fast, ranker.scores(query, net), rtol=0, atol=1e-9
+            )

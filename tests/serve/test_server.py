@@ -539,7 +539,7 @@ class TestSpillRestore:
         assert os.path.exists(spill)
         with open(spill, "rb") as f:
             payload = pickle.load(f)
-        assert payload["format"] == "repro-registry-spill/2"
+        assert payload["format"] == "repro-registry-spill/3"
         assert payload["digest"] == net1.state_digest()
 
         # "Restart": a fresh network instance with identical structure,

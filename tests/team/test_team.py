@@ -1,5 +1,6 @@
 """Team formation system tests."""
 
+import numpy as np
 import pytest
 
 from repro.graph import CollaborationNetwork
@@ -79,6 +80,20 @@ class TestCoverTeamFormer:
         team = former.form(["graph"], net, seed_member=0)
         assert 0 in team
         assert 4 not in team
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seed_choice_equals_lexsort_choice(self, seed):
+        """The O(n) argmax picks lexsort's first id: score descending, id
+        ascending, NaN last — on vectors with ties, ±0.0, ±inf and NaN."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+        vectors = [pool[rng.integers(0, len(pool), size=int(rng.integers(1, 30)))]]
+        vectors.append(np.full(5, np.nan))
+        vectors.append(np.array([np.nan, -np.inf, -np.inf]))
+        for scores in vectors:
+            expected = int(np.lexsort((np.arange(len(scores)), -scores))[0])
+            assert CoverTeamFormer._seed_choice(scores) == expected, scores
 
 
 class TestTeamOnTrainedStack:
